@@ -68,7 +68,6 @@ func main() {
 	relTimeout := flag.Duration("rel-timeout", 0, "reliable transport: first-attempt retransmit timeout (0 = default 20ms)")
 	relRetries := flag.Int("rel-retries", 0, "reliable transport: retransmits per window (0 = default 5)")
 	workers := flag.Int("workers", 0, "host send workers for Out (0 = GOMAXPROCS, 1 = serial deterministic order)")
-	execWorkers := flag.Int("exec-workers", 0, "switch pipeline workers per device (0/1 = serial in-order execution)")
 	inboxCap := flag.Int("inbox-cap", 0, "fabric per-node inbox capacity (0 = default 4096; full inboxes drop+count)")
 	drainBatch := flag.Int("drain-batch", 0, "fabric packets drained per inbox wakeup (0 = default 64; 1 = per-packet delivery)")
 	serve := flag.String("serve", "", "serve /metrics, /snapshot, /trace, and pprof on this address (e.g. :9090) and keep driving windows until interrupted")
@@ -88,7 +87,6 @@ func main() {
 	art, err := ncl.Build(string(nclSrc), string(andSrc), ncl.BuildOptions{
 		WindowLen:        *w,
 		SendWorkers:      *workers,
-		ExecWorkers:      *execWorkers,
 		FabricInboxCap:   *inboxCap,
 		FabricDrainBatch: *drainBatch,
 	})

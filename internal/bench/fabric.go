@@ -19,9 +19,9 @@ import (
 //     drain-batch=1 vs SendBatch against the default drain batch — the
 //     ring amortizes the wakeup, the virtual-clock stamp, the link
 //     counters, and the inbox lock over whole bursts;
-//   - exec: the PISA device alone, ExecWindowSlots per window vs
-//     ExecWindowBatch, which loads the plan once and takes the kernel's
-//     whole register/table lock set once per batch;
+//   - exec: the PISA device alone, ExecWindowBatch with batches of one
+//     vs of 64: the batch loads the plan once and takes the kernel's
+//     whole register/table lock set once;
 //   - switch e2e: NCP windows host→switch→host through the full decode →
 //     exec → repack → forward pipeline in both modes.
 //
@@ -176,18 +176,17 @@ func E15Fabric() (*Table, error) {
 		gort.ReadMemStats(&after)
 		return wall, float64(after.Mallocs-before.Mallocs) / float64(windows), nil
 	}
-	data := [][]uint64{make([]uint64, W)}
 	meta := pisa.WindowMeta{Seq: 0}
+	one := []pisa.BatchJob{{Data: [][]uint64{make([]uint64, W)}, Meta: meta}}
 	slotWall, slotAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
 		return measure(execWins, func(int) error {
-			_, err := sw.ExecWindowSlots(kern.ID, data, meta, prog.LocID)
-			return err
+			return execOne(sw, kern.ID, one, prog.LocID)
 		})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("E15 exec slots: %w", err)
+		return nil, fmt.Errorf("E15 exec batch of 1: %w", err)
 	}
-	addRow("exec per-window (slots)", execWins, slotWall, slotWall, slotAllocs)
+	addRow("exec per-window (batch of 1)", execWins, slotWall, slotWall, slotAllocs)
 	jobs := make([]pisa.BatchJob, chunk)
 	for i := range jobs {
 		jobs[i] = pisa.BatchJob{Data: [][]uint64{make([]uint64, W)}, Meta: meta}
@@ -212,7 +211,7 @@ func E15Fabric() (*Table, error) {
 	addRow(fmt.Sprintf("exec batched (x%d)", chunk), execWins, batchWall, slotWall, batchAllocs)
 
 	// --- Switch end to end: NCP windows through decode → exec → repack →
-	// forward, per-packet vs the vectorized segment path.
+	// forward, bursts of one (drain=1) vs drained bursts of 64.
 	runE2E := func(drain, windows int, batched bool) (time.Duration, float64, error) {
 		net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 		if err != nil {
@@ -240,7 +239,6 @@ func E15Fabric() (*Table, error) {
 			return 0, 0, err
 		}
 		defer fab.Stop()
-		defer sn.Close()
 		tos := make([]string, chunk)
 		for i := range tos {
 			tos[i] = "s1"

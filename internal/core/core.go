@@ -51,10 +51,6 @@ type BuildOptions struct {
 	// (0 = GOMAXPROCS, 1 = serial deterministic send order); see
 	// runtime.AppConfig.SendWorkers.
 	SendWorkers int
-	// ExecWorkers pipelines each switch's received windows across this
-	// many goroutines (0/1 = serial in-order execution); see
-	// runtime.AppConfig.ExecWorkers.
-	ExecWorkers int
 	// FabricInboxCap overrides the per-node fabric inbox capacity
 	// (0 = netsim.DefaultInboxCap); see runtime.AppConfig.FabricInboxCap.
 	FabricInboxCap int
@@ -76,7 +72,6 @@ type Artifact struct {
 	WindowLen        int
 	Batch            int
 	SendWorkers      int
-	ExecWorkers      int
 	FabricInboxCap   int
 	FabricDrainBatch int
 	Target           pisa.TargetConfig
@@ -110,7 +105,6 @@ func Build(nclSrc, andSrc string, opts BuildOptions) (*Artifact, error) {
 		WindowLen:        opts.WindowLen,
 		Batch:            opts.Batch,
 		SendWorkers:      opts.SendWorkers,
-		ExecWorkers:      opts.ExecWorkers,
 		FabricInboxCap:   opts.FabricInboxCap,
 		FabricDrainBatch: opts.FabricDrainBatch,
 		Target:           opts.Target,
@@ -274,7 +268,6 @@ func (a *Artifact) AppConfig() runtime.AppConfig {
 		HostLabels:       map[uint32]string{},
 		Batch:            a.Batch,
 		SendWorkers:      a.SendWorkers,
-		ExecWorkers:      a.ExecWorkers,
 		FabricInboxCap:   a.FabricInboxCap,
 		FabricDrainBatch: a.FabricDrainBatch,
 	}

@@ -309,11 +309,11 @@ func TestFailSwitchReplacesAndRecovers(t *testing.T) {
 
 // TestDeployCleanupOnError is the leak regression: a Deploy that fails
 // mid-loop (here: a location with no compiled program) must tear down
-// the switch worker pools and hosts it already brought up. Run with
-// -race; the goroutine count must return to its pre-Deploy level.
+// the fabric and hosts it already brought up. Run with -race; the
+// goroutine count must return to its pre-Deploy level.
 func TestDeployCleanupOnError(t *testing.T) {
 	art, err := Build(passThroughNCL, pairAND,
-		BuildOptions{WindowLen: 4, ExecWorkers: 4, ModuleName: "leakchk"})
+		BuildOptions{WindowLen: 4, ModuleName: "leakchk"})
 	if err != nil {
 		t.Fatal(err)
 	}

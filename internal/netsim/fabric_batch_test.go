@@ -325,17 +325,17 @@ func TestSendBatchConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestBatchedSwitchPreservesOrder: a burst through the switch's batched
-// receive path must come out in FIFO order with every window executed —
-// including when ineligible packets (here an unknown kernel id) split the
-// burst into segments.
+// TestBatchedSwitchPreservesOrder: a burst through the switch's receive
+// loop must come out in FIFO order with every window executed —
+// including when pass-through packets (here an unknown kernel id) split
+// the burst into segments.
 func TestBatchedSwitchPreservesOrder(t *testing.T) {
 	fab, sn, _, b := chainFabric(t)
 	const n = 200
 	for i := 0; i < n; i++ {
 		kid := uint32(1)
 		if i%17 == 0 {
-			kid = 99 // unknown: forwarded raw through the per-packet path
+			kid = 99 // unknown: forwarded raw, between segments
 		}
 		pkt := ncpPacket(t, kid, uint64(i), 0)
 		if err := fab.Send("a", "s1", &Packet{Src: "a", Dst: "b", Data: pkt}); err != nil {
@@ -368,10 +368,10 @@ func TestBatchedSwitchPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestSwitchReceiveBatchAllocs: the vectorized batch path must hold the
-// same per-window allocation budget as the per-packet path — 2 (the
-// repacked bytes and the forwarded Packet struct); segment bookkeeping,
-// scratch, and the output queue are all pooled or reused.
+// TestSwitchReceiveBatchAllocs: a 64-packet burst must hold the same
+// per-window allocation budget as a single Receive — 2 (the repacked
+// bytes and the forwarded Packet struct); segment bookkeeping, scratch,
+// and the output queue are all pooled or reused.
 func TestSwitchReceiveBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are meaningless")

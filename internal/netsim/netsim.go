@@ -227,9 +227,9 @@ func (f *Fabric) SetInboxCap(n int) {
 }
 
 // SetDrainBatch bounds how many packets an inbox goroutine drains per
-// wakeup (call before Start; 0 keeps the default). Batches of more than
-// one packet are handed to nodes implementing the batch receive path in
-// one call; 1 forces the per-packet path.
+// wakeup (call before Start; 0 keeps the default). Each drained batch is
+// handed to nodes implementing the batch receive path in one call; 1
+// delivers packet by packet.
 func (f *Fabric) SetDrainBatch(n int) {
 	if n > 0 {
 		f.drainBatch = n
@@ -276,10 +276,11 @@ func (f *Fabric) InboxDepth(label string) int {
 	return r.depth()
 }
 
-// batchReceiver is the optional fast path a node can implement to take a
-// whole drained batch in one call instead of len(batch) Receive calls.
-// The deliveries are in arrival order; the slice is only valid for the
-// duration of the call (the drain goroutine reuses its backing array).
+// batchReceiver is implemented by nodes that take a whole drained batch
+// in one call instead of len(batch) Receive calls (switch nodes: their
+// one receive loop). The deliveries are in arrival order; the slice is
+// only valid for the duration of the call (the drain goroutine reuses
+// its backing array).
 type batchReceiver interface {
 	receiveBatch(f Sender, batch []delivery)
 }
@@ -312,7 +313,7 @@ func (f *Fabric) Start() error {
 						return
 					}
 				}
-				if br != nil && len(batch) > 1 {
+				if br != nil {
 					br.receiveBatch(f, batch)
 				} else {
 					for i := range batch {

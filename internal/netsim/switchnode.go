@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ncl/internal/and"
 	"ncl/internal/ncl/interp"
@@ -19,13 +18,11 @@ import (
 // through the loaded pipeline and then follow the kernel's forwarding
 // decision (§4.1).
 //
-// The data path is allocation-flat: decode/repack buffers come from a
-// sync.Pool, per-kernel wire specs and counters are resolved once at
-// Install, and window metadata binds to PHV slots through the device's
-// compiled plan (no per-packet maps). An optional worker pool
-// (SetExecWorkers) lets one switch pipeline independent windows the way
-// real PISA stages overlap packets; state correctness comes from the
-// device's per-register locking.
+// The data path is one loop (receiveBatch, switchbatch.go); Receive is
+// its batch of one. It is allocation-flat: decode/repack buffers are
+// reused across packets, per-kernel wire specs and counters are resolved
+// once at Install, and window metadata binds to PHV slots through the
+// device's compiled plan (no per-packet maps).
 type SwitchNode struct {
 	label   string
 	sw      *pisa.Switch
@@ -57,20 +54,15 @@ type SwitchNode struct {
 	// for traced windows so the untraced path stays measurement-free.
 	execNs *obs.Histogram
 
-	// depthFn probes the switch's ingress backlog for INT stamping when
-	// the worker pool is off (core.Deploy wires it to the fabric inbox).
+	// depthFn probes the switch's ingress backlog for INT stamping
+	// (core.Deploy wires it to the fabric inbox).
 	depthFn func() int
 
-	scratch sync.Pool // *nodeScratch
-
-	// batch is the reusable working set of the batched receive path
-	// (switchbatch.go). Only the fabric's single drain goroutine for this
-	// node calls receiveBatch, so no lock is needed.
+	// batch is the reusable working set of the receive loop
+	// (switchbatch.go). Receive and receiveBatch run one call at a time
+	// per node — the fabric and the UDP backend each deliver to a node
+	// from one goroutine — so no lock is needed.
 	batch batchState
-
-	execCh    chan execJob
-	workerWg  sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // swKernel is one kernel's precomputed receive-path state: the NCP wire
@@ -81,21 +73,6 @@ type swKernel struct {
 	specs        []ncp.ParamSpec
 	payloadBytes int
 	windows      *obs.Counter // switch.<label>.kernel.<name>.windows
-}
-
-// nodeScratch is the pooled per-packet working set: the zero-copy NCP
-// decode target, the decoded window data, and the repack payload buffer.
-type nodeScratch struct {
-	dec     ncp.Decoded
-	data    [][]uint64
-	payload []byte
-}
-
-// execJob is one received packet queued for a pipeline worker.
-type execJob struct {
-	f    Sender
-	pkt  *Packet
-	from string
 }
 
 // NewSwitchNode creates a switch for the given AND label.
@@ -249,20 +226,17 @@ var ExecNsBuckets = []float64{
 	100000, 250000, 500000, 1e6, 2.5e6, 5e6, 1e7,
 }
 
-// SetDepthSource installs the inbox-depth probe INT records report when
-// the worker pool is off. The deployment wires it to the fabric's inbox
-// for this switch; nil (the default) reports depth 0. Call before
-// traffic, like SetRoutes.
+// SetDepthSource installs the inbox-depth probe INT records report. The
+// deployment wires it to the fabric's inbox for this switch; nil (the
+// default) reports depth 0. Call before traffic, like SetRoutes.
 func (s *SwitchNode) SetDepthSource(fn func() int) { s.depthFn = fn }
 
 // queueDepth reports the ingress backlog at window arrival for INT
-// stamping: the pipeline worker queue when the pool is on, else the
-// wired depth source. Saturates at 16 bits (the wire field).
+// stamping, from the wired depth source. Saturates at 16 bits (the wire
+// field).
 func (s *SwitchNode) queueDepth() uint16 {
 	n := 0
-	if s.execCh != nil {
-		n = len(s.execCh)
-	} else if s.depthFn != nil {
+	if s.depthFn != nil {
 		n = s.depthFn()
 	}
 	if n > math.MaxUint16 {
@@ -280,122 +254,12 @@ func (s *SwitchNode) SetHosts(hosts map[uint32]string) {
 	}
 }
 
-// SetExecWorkers starts a pipeline worker pool of n goroutines; received
-// packets are queued and processed concurrently (per-register locking in
-// the device keeps stateful kernels correct). n <= 1 keeps today's
-// serial in-order processing. Call before traffic; pair with Close.
-func (s *SwitchNode) SetExecWorkers(n int) {
-	if n <= 1 || s.execCh != nil {
-		return
-	}
-	s.execCh = make(chan execJob, 256)
-	for i := 0; i < n; i++ {
-		s.workerWg.Add(1)
-		go func() {
-			defer s.workerWg.Done()
-			for j := range s.execCh {
-				s.process(j.f, j.pkt, j.from)
-			}
-		}()
-	}
-}
-
-// Close drains and stops the worker pool (no-op without one). Call only
-// after the fabric has stopped delivering.
-func (s *SwitchNode) Close() {
-	s.closeOnce.Do(func() {
-		if s.execCh != nil {
-			close(s.execCh)
-			s.workerWg.Wait()
-		}
-	})
-}
-
-func (s *SwitchNode) getScratch() *nodeScratch {
-	sc, _ := s.scratch.Get().(*nodeScratch)
-	if sc == nil {
-		sc = &nodeScratch{}
-	}
-	return sc
-}
-
-// Receive implements Node: the Fig. 3b dispatch, either inline or via
-// the worker pool.
+// Receive implements Node: one delivery is the receive loop's batch of
+// one. Like receiveBatch it must not run concurrently with another
+// delivery to the same node.
 func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
-	if s.execCh != nil {
-		s.execCh <- execJob{f: f, pkt: pkt, from: from}
-		return
-	}
-	s.process(f, pkt, from)
-}
-
-// process handles one received packet.
-func (s *SwitchNode) process(f Sender, pkt *Packet, from string) {
-	if !ncp.IsNCP(pkt.Data) {
-		s.ForwardedRaw.Add(1)
-		s.forward(f, pkt, from)
-		return
-	}
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-	if err := ncp.DecodeFullInto(pkt.Data, &sc.dec); err != nil {
-		// Corrupted NCP traffic is dropped, like a failed checksum anywhere.
-		s.Errors.Add(1)
-		return
-	}
-	h := &sc.dec.Header
-	userVals := sc.dec.User
-	hops := sc.dec.Hops
-	payload := sc.dec.Payload
-	kp := s.kplans[h.KernelID]
-	if kp == nil || h.FragCount > 1 || h.Flags&ncp.FlagAck != 0 {
-		// No kernel for this window here, a multi-packet window (switches
-		// pass fragments through, §6), or an acknowledgment: normal
-		// forwarding without kernel execution.
-		s.ForwardedRaw.Add(1)
-		if h.Flags&ncp.FlagTrace != 0 {
-			// Traced windows still record the pass-through hop, with the
-			// queue depth at arrival (no kernel ran, so no latency/kernel).
-			hops = append(hops, ncp.Hop{
-				Loc: uint16(s.locID), Kind: ncp.HopSwitch,
-				Event: ncp.EventForward, TimeNs: switchTimeNs(pkt.VTimeUs),
-				QueueDepth: s.queueDepth(),
-			})
-			if out, err := ncp.MarshalHops(h, userVals, hops, payload); err == nil {
-				pkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: out, VTimeUs: pkt.VTimeUs}
-			}
-		}
-		s.forward(f, pkt, from)
-		return
-	}
-
-	// INT ingress snapshot: the queue depth every hop record of this
-	// packet reports is the backlog when the packet arrived, probed once
-	// (and only for traced windows — the untraced path stays flat).
-	var qdepth uint16
-	if h.Flags&ncp.FlagTrace != 0 {
-		qdepth = s.queueDepth()
-	}
-
-	// Multi-window packets (§4.2) unbatch at the first executing switch:
-	// each window runs the kernel and follows its own forwarding decision.
-	if h.BatchCount > 1 {
-		per := kp.payloadBytes
-		if len(payload) != per*int(h.BatchCount) {
-			// The payload must split exactly; anything else is a framing
-			// error (the old path silently dropped the remainder bytes).
-			s.Errors.Add(1)
-			return
-		}
-		for k := 0; k < int(h.BatchCount); k++ {
-			sub := *h
-			sub.BatchCount = 1
-			sub.WindowSeq = h.WindowSeq + uint32(k)
-			s.execOne(f, pkt, from, kp, &sub, userVals, hops, payload[k*per:(k+1)*per], sc, qdepth)
-		}
-		return
-	}
-	s.execOne(f, pkt, from, kp, h, userVals, hops, payload, sc, qdepth)
+	s.batch.one[0] = delivery{pkt: pkt, from: from}
+	s.receiveBatch(f, s.batch.one[:])
 }
 
 // switchTimeNs converts a packet's virtual time to the hop-record clock.
@@ -406,121 +270,52 @@ func switchTimeNs(us float64) uint64 {
 	return uint64(us * 1000)
 }
 
-// execOne runs one window through the pipeline and routes the outcome.
-// qdepth is the ingress backlog probed at packet arrival (INT stamping;
-// meaningful only for traced windows).
-func (s *SwitchNode) execOne(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, payload []byte, sc *nodeScratch, qdepth uint16) {
-	data, err := ncp.DecodePayloadInto(sc.data, payload, kp.specs)
-	sc.data = data
-	if err != nil {
-		s.Errors.Add(1)
-		return
-	}
-	// A reliable window for a non-idempotent kernel (FlagExactlyOnce)
-	// runs through the device's duplicate shadow state, and the switch —
-	// not the unreachable destination — acknowledges it when the kernel
-	// consumes it on-path (drop/reflect/bcast). That closes DESIGN §5.4's
-	// soundness hole: retransmits neither double-apply nor time out.
-	xonce := h.Flags&ncp.FlagExactlyOnce != 0
-	switchAcks := xonce && h.Flags&ncp.FlagAckRequest != 0
-	meta := pisa.WindowMeta{
-		Seq:         uint64(h.WindowSeq),
-		Len:         uint64(h.WindowLen),
-		From:        uint64(h.FromRole),
-		Sender:      uint64(h.Sender),
-		Wid:         uint64(h.Wid),
-		User:        userVals,
-		ExactlyOnce: xonce,
-	}
-	// Time the pipeline only for traced windows: the measurement (two
-	// clock reads + a histogram observe) never touches the untraced path.
-	traced := h.Flags&ncp.FlagTrace != 0
-	var execStart time.Time
-	if traced {
-		execStart = time.Now()
-	}
-	dec, err := s.sw.ExecWindowSlots(h.KernelID, data, meta, s.locID)
-	var execWallNs uint64
-	if traced {
-		execWallNs = uint64(time.Since(execStart))
-		s.execNs.Observe(float64(execWallNs))
-	}
-	if err != nil {
-		s.Errors.Add(1)
-		return
-	}
-	s.KernelWindows.Add(1)
-	kp.windows.Inc()
-	if dec.Suppressed {
-		s.DupSuppressed.Add(1)
-	}
-	if traced {
-		// INT latency: the modeled pipeline delay when the fabric carries
-		// virtual time, else the measured kernel execution wall time
-		// (PackINT saturates at 24 bits).
-		lat := execWallNs
-		if pkt.VTimeUs > 0 {
-			lat = uint64(SwitchDelayUs * 1000)
-		}
-		if lat > math.MaxUint32 {
-			lat = math.MaxUint32
-		}
-		// Full-capacity append: unbatched sub-windows each extend their
-		// own copy rather than aliasing the shared prefix.
-		hops = append(hops[:len(hops):len(hops)], ncp.Hop{
-			Loc: uint16(s.locID), Kind: ncp.HopSwitch,
-			Event: ncp.EventExec, TimeNs: switchTimeNs(pkt.VTimeUs + SwitchDelayUs),
-			LatencyNs: uint32(lat), QueueDepth: qdepth, KernelID: h.KernelID,
-		})
-	}
-	s.route(f, pkt, from, kp, h, userVals, hops, data, sc, dec, switchAcks)
-}
-
-// route applies an executed window's forwarding decision — the shared
-// tail of the per-packet path (execOne) and the batch path
-// (flushBatch).
-func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, data [][]uint64, sc *nodeScratch, dec interp.Decision, switchAcks bool) {
+// route applies an executed window's forwarding decision, queueing its
+// outputs on out.
+func (s *SwitchNode) route(out *batchOut, w *batchWin, dec interp.Decision) {
 	// The window's reliable flags stay on pass-through (the destination
 	// host acknowledges delivery) but are stripped from on-path outputs:
 	// the switch acknowledges those itself, and the derived reflect/bcast
 	// windows are new unreliable traffic, not the acknowledged window.
 	var clearFlags uint8
-	if switchAcks {
+	if w.switchAcks {
 		clearFlags = ncp.FlagAckRequest | ncp.FlagExactlyOnce
 	}
+	vtime := w.pkt.VTimeUs + SwitchDelayUs
 	switch dec.Kind {
 	case interp.Drop:
-		if switchAcks {
-			s.ackConsumed(f, pkt, from, h)
+		if w.switchAcks {
+			s.ackConsumed(out, w)
 		}
-		return
 	case interp.Pass:
-		out := s.repack(sc, h, userVals, hops, kp, data, 0, 0)
-		if out == nil {
+		data := s.repack(w, 0, 0)
+		if data == nil {
 			return
 		}
-		npkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}
+		npkt := &Packet{Src: w.pkt.Src, Dst: w.pkt.Dst, Data: data, VTimeUs: vtime}
 		if dec.Label != "" {
 			npkt.Dst = dec.Label
 		}
-		s.forward(f, npkt, from)
+		s.forward(out, npkt, w.from)
 	case interp.Reflect:
-		if switchAcks {
-			s.ackConsumed(f, pkt, from, h)
-		}
-		target, ok := s.hostByID[h.Sender]
+		target, ok := s.hostByID[w.h.Sender]
 		if !ok {
+			// Neither the reflected window nor the switch's ack has a
+			// host to go to: one error for the window.
 			s.Errors.Add(1)
 			return
 		}
-		out := s.repack(sc, h, userVals, hops, kp, data, ncp.FlagReflected, clearFlags)
-		if out == nil {
+		if w.switchAcks {
+			s.ackConsumed(out, w)
+		}
+		data := s.repack(w, ncp.FlagReflected, clearFlags)
+		if data == nil {
 			return
 		}
-		s.forward(f, &Packet{Src: s.label, Dst: target, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
+		s.forward(out, &Packet{Src: s.label, Dst: target, Data: data, VTimeUs: vtime}, w.from)
 	case interp.Bcast:
-		if switchAcks {
-			s.ackConsumed(f, pkt, from, h)
+		if w.switchAcks {
+			s.ackConsumed(out, w)
 		}
 		// §4.1 verbatim: "_bcast() sends a window to all devices, one hop
 		// away - in the overlay - from the current location". That
@@ -532,8 +327,8 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 		// One serialization serves every neighbor: delivered packet
 		// bytes are read-only by convention, so the Packet structs may
 		// share the encoded window.
-		out := s.repack(sc, h, userVals, hops, kp, data, ncp.FlagBcast, clearFlags)
-		if out == nil {
+		data := s.repack(w, ncp.FlagBcast, clearFlags)
+		if data == nil {
 			return
 		}
 		targets := s.routing.Load().Bcast
@@ -542,10 +337,10 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 			// the overlay neighbors are the direct neighbors. Under
 			// placement, the controller installs the logical neighbor list
 			// and each copy is unicast-routed toward its overlay target.
-			targets = f.Network().Neighbors(s.label)
+			targets = out.Network().Neighbors(s.label)
 		}
 		for _, nb := range targets {
-			s.forward(f, &Packet{Src: s.label, Dst: nb, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
+			s.forward(out, &Packet{Src: s.label, Dst: nb, Data: data, VTimeUs: vtime}, w.from)
 		}
 	}
 }
@@ -556,35 +351,35 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 // (suppressed) windows are re-acknowledged the same way — the ack that
 // prompted the retransmit was lost. Same wire shape as the host
 // runtime's ack; Sender names the acking location.
-func (s *SwitchNode) ackConsumed(f Sender, pkt *Packet, from string, h *ncp.Header) {
-	target, ok := s.hostByID[h.Sender]
+func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin) {
+	target, ok := s.hostByID[w.h.Sender]
 	if !ok {
 		s.Errors.Add(1)
 		return
 	}
 	ack := ncp.Header{
 		Flags:     ncp.FlagAck,
-		KernelID:  h.KernelID,
-		WindowSeq: h.WindowSeq,
-		WindowLen: h.WindowLen,
+		KernelID:  w.h.KernelID,
+		WindowSeq: w.h.WindowSeq,
+		WindowLen: w.h.WindowLen,
 		Sender:    s.locID,
-		Wid:       h.Wid,
+		Wid:       w.h.Wid,
 		FragCount: 1,
 	}
-	out, err := ncp.Marshal(&ack, nil, nil)
+	data, err := ncp.Marshal(&ack, nil, nil)
 	if err != nil {
 		s.Errors.Add(1)
 		return
 	}
 	s.AcksSent.Add(1)
-	s.forward(f, &Packet{Src: s.label, Dst: target, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
+	s.forward(out, &Packet{Src: s.label, Dst: target, Data: data, VTimeUs: w.pkt.VTimeUs + SwitchDelayUs}, w.from)
 }
 
 // forward routes pkt toward pkt.Dst via the next-hop table, honoring the
 // Via waypoint: a packet still traveling to its waypoint routes there
 // first; the waypoint switch clears it (and stamps the next one from its
 // via table, so multi-segment overlay paths chain hop by hop).
-func (s *SwitchNode) forward(f Sender, pkt *Packet, from string) {
+func (s *SwitchNode) forward(out *batchOut, pkt *Packet, from string) {
 	rt := s.routing.Load()
 	if pkt.Via != "" && rt.self[pkt.Via] {
 		pkt.Via = ""
@@ -614,7 +409,7 @@ func (s *SwitchNode) forward(f Sender, pkt *Packet, from string) {
 		// ECMP repair: when the hashed hop sits behind a failed link, the
 		// flow re-hashes over the surviving equal-cost hops. Checked only
 		// after the pick so the healthy path pays one LinkFailed lookup.
-		if lh, ok := f.(LinkHealth); ok && lh.LinkFailed(s.label, hop) {
+		if lh, ok := out.inner.(LinkHealth); ok && lh.LinkFailed(s.label, hop) {
 			alive := make([]string, 0, len(hops)-1)
 			for _, nb := range hops {
 				if !lh.LinkFailed(s.label, nb) {
@@ -626,25 +421,25 @@ func (s *SwitchNode) forward(f Sender, pkt *Packet, from string) {
 			}
 		}
 	}
-	if err := f.Send(s.label, hop, pkt); err != nil {
+	if err := out.Send(s.label, hop, pkt); err != nil {
 		s.Errors.Add(1)
 	}
 }
 
-// repack re-serializes a (possibly modified) window, encoding the
-// payload into pooled scratch. The returned packet bytes are fresh (the
-// receiver owns them); nil means a serialization error was counted.
-func (s *SwitchNode) repack(sc *nodeScratch, h *ncp.Header, userVals []uint64, hops []ncp.Hop, kp *swKernel, data [][]uint64, extraFlags, clearFlags uint8) []byte {
-	payload, err := ncp.AppendPayload(sc.payload[:0], data, kp.specs)
+// repack re-serializes an executed window, encoding the payload into
+// reused scratch. The returned packet bytes are fresh (the receiver owns
+// them); nil means a serialization error was counted.
+func (s *SwitchNode) repack(w *batchWin, extraFlags, clearFlags uint8) []byte {
+	payload, err := ncp.AppendPayload(s.batch.payload[:0], w.data, w.kp.specs)
 	if err != nil {
 		s.Errors.Add(1)
 		return nil
 	}
-	sc.payload = payload
-	nh := *h
+	s.batch.payload = payload
+	nh := w.h
 	nh.Flags |= extraFlags
 	nh.Flags &^= clearFlags
-	out, err := ncp.MarshalHops(&nh, userVals, hops, payload)
+	out, err := ncp.MarshalHops(&nh, w.user, w.hops, payload)
 	if err != nil {
 		s.Errors.Add(1)
 		return nil

@@ -16,11 +16,10 @@ type nullSender struct{ net *and.Network }
 func (n *nullSender) Send(_, _ string, _ *Packet) error { return nil }
 func (n *nullSender) Network() *and.Network             { return n.net }
 
-// TestSwitchProcessAllocsUntraced asserts the ISSUE acceptance bound:
-// INT stamping must not add allocations to the untraced receive path.
-// The whole process() pipeline — decode, unbatch, kernel exec, repack —
-// stays allocation-flat when FlagTrace is off, depth probing and exec
-// timing included only for traced windows.
+// TestSwitchProcessAllocsUntraced asserts that INT stamping adds no
+// allocations to the untraced receive path: a whole Receive — decode,
+// unbatch, kernel exec, repack — stays allocation-flat when FlagTrace is
+// off, depth probing and exec timing included only for traced windows.
 func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are meaningless")
@@ -42,21 +41,21 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	pkt := &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, 41, 0)}
 	// Warm the scratch pool and one-time lazy state.
 	for i := 0; i < 8; i++ {
-		sn.process(sender, pkt, "a")
+		sn.Receive(sender, pkt, "a")
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		sn.process(sender, pkt, "a")
+		sn.Receive(sender, pkt, "a")
 	})
 	// Budget 2: the repacked packet bytes and the Packet struct handed to
 	// the fabric are genuinely fresh per forward (the receiver owns
 	// them); everything else is pooled. INT must not raise this.
 	if avg > 2 {
-		t.Fatalf("untraced process: %.1f allocs/window, budget 2", avg)
+		t.Fatalf("untraced Receive: %.1f allocs/window, budget 2", avg)
 	}
 }
 
-// TestSwitchProcessTracedStampsINT drives a traced window through the
-// same direct path and checks the exec hop record the switch appends:
+// TestSwitchProcessTracedStampsINT drives a traced window through
+// Receive and checks the exec hop record the switch appends:
 // kernel id, a queue-depth sample from the wired source, and a measured
 // (wall-clock, no virtual time on a direct call) latency.
 func TestSwitchProcessTracedStampsINT(t *testing.T) {
@@ -75,7 +74,7 @@ func TestSwitchProcessTracedStampsINT(t *testing.T) {
 	var got *Packet
 	sender := &captureSender{net: net, out: func(p *Packet) { got = p }}
 	pkt := &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, 41, ncp.FlagTrace)}
-	sn.process(sender, pkt, "a")
+	sn.Receive(sender, pkt, "a")
 	if got == nil {
 		t.Fatal("traced window was not forwarded")
 	}

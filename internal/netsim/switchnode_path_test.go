@@ -193,22 +193,23 @@ func statefulSumProgram() *pisa.Program {
 	}
 }
 
-// TestSwitchNodeExecWorkers: with a worker pool, every window still
-// executes exactly once and stateful accumulation stays correct (the
-// device's per-register locking serializes the read-modify-writes).
-func TestSwitchNodeExecWorkers(t *testing.T) {
+// TestSwitchNodeStatefulSumBursts: windows queued before the fabric
+// starts reach the switch in multi-packet drained bursts, single-window
+// and multi-window packets mixed. Every window still executes exactly
+// once, and the stateful accumulation is exact.
+func TestSwitchNodeStatefulSumBursts(t *testing.T) {
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := New(net, Faults{})
+	fab.SetDrainBatch(8)
 	sn := NewSwitchNode("s1", pisa.DefaultTarget())
 	if err := sn.Install(statefulSumProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
 	sn.SetRoutes(net.NextHops()["s1"])
 	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
-	sn.SetExecWorkers(4)
 	a := &echoNode{label: "a"}
 	b := &echoNode{label: "b"}
 	for _, n := range []Node{sn, a, b} {
@@ -216,32 +217,76 @@ func TestSwitchNodeExecWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fab.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		fab.Stop()
-		sn.Close() // workers drain after delivery stops
-	})
+	t.Cleanup(fab.Stop)
 
+	// Queue everything before Start so the drain goroutine sees bursts of
+	// up to 8 packets; every fifth packet carries two windows.
 	const n = 50
 	var want uint64
+	windows := 0
 	for i := 1; i <= n; i++ {
+		data := ncpPacket(t, 1, uint64(i), 0)
 		want += uint64(i)
-		if err := fab.Send("a", "s1", &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, uint64(i), 0)}); err != nil {
+		windows++
+		if i%5 == 0 {
+			data = batchPacket(t, []uint64{uint64(i), 1000}, 0)
+			want += 1000
+			windows++
+		}
+		if err := fab.Send("a", "s1", &Packet{Src: "a", Dst: "b", Data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitCount(t, b, n)
-	if sn.KernelWindows.Load() != n {
-		t.Errorf("kernel windows = %d, want %d", sn.KernelWindows.Load(), n)
+	if err := fab.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, b, windows)
+	if got := sn.KernelWindows.Load(); got != uint64(windows) {
+		t.Errorf("kernel windows = %d, want %d", got, windows)
 	}
 	got, err := sn.Device().ReadRegister("total", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("concurrent stateful sum = %d, want %d", got, want)
+		t.Errorf("stateful sum = %d, want %d", got, want)
+	}
+}
+
+// reflectProgram: kernel 1 sets $fwd = 2 (reflect to the sender).
+func reflectProgram() *pisa.Program {
+	p := bcastProgram()
+	p.Kernels[0].Passes[0][0].VLIW[0].A = pisa.ConstOperand(2)
+	return p
+}
+
+// TestSwitchNodeReflectUnknownSenderOneError: an exactly-once window the
+// kernel reflects, from a sender the switch has no host for, can be
+// neither reflected nor acknowledged. That is one lost window: one
+// error, nothing sent.
+func TestSwitchNodeReflectUnknownSenderOneError(t *testing.T) {
+	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := NewSwitchNode("s1", pisa.DefaultTarget())
+	if err := sn.Install(reflectProgram(), 1); err != nil {
+		t.Fatal(err)
+	}
+	sn.SetRoutes(net.NextHops()["s1"])
+	sn.SetHosts(map[uint32]string{2: "b"}) // no host for sender id 1
+	sent := 0
+	sender := &captureSender{net: net, out: func(*Packet) { sent++ }}
+	pkt := ncpPacket(t, 1, 7, ncp.FlagExactlyOnce|ncp.FlagAckRequest)
+	sn.Receive(sender, &Packet{Src: "a", Dst: "b", Data: pkt}, "a")
+	if got := sn.Errors.Load(); got != 1 {
+		t.Errorf("errors = %d, want 1", got)
+	}
+	if sent != 0 || sn.AcksSent.Load() != 0 {
+		t.Errorf("sent %d packets (%d acks), want none", sent, sn.AcksSent.Load())
+	}
+	if got := sn.KernelWindows.Load(); got != 1 {
+		t.Errorf("kernel windows = %d, want 1 (the window executed)", got)
 	}
 }
 

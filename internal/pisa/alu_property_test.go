@@ -295,12 +295,14 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 }
 
 // TestCompiledSlotsPathMatchesReference drives the same property through
-// ExecWindowSlots (the map-free data-plane entry point): binding window
-// metadata by precompiled slots must equal the Meta-map convention.
+// ExecWindowBatch (the map-free data-plane entry point), in batches of
+// one and of several: binding window metadata by precompiled slots must
+// equal the Meta-map convention, window for window.
 func TestCompiledSlotsPathMatchesReference(t *testing.T) {
 	target := DefaultTarget()
 	for seed := int64(100); seed < 140; seed++ {
 		r := rand.New(rand.NewSource(seed))
+		sizes := rand.New(rand.NewSource(seed + 1000)) // batch sizes, kept off r's stream
 		p := randomValidProgram(r)
 		sw := NewSwitch(target)
 		ref := NewReference(target)
@@ -319,7 +321,7 @@ func TestCompiledSlotsPathMatchesReference(t *testing.T) {
 			loc                 uint32
 			xonce               bool
 		}
-		var history []sentWin
+		var history, wins []sentWin
 		for wi := 0; wi < 15; wi++ {
 			var w sentWin
 			if len(history) > 0 && r.Intn(4) == 0 {
@@ -335,30 +337,51 @@ func TestCompiledSlotsPathMatchesReference(t *testing.T) {
 				w.xonce = r.Intn(2) == 0
 				history = append(history, w)
 			}
-			dataA := [][]uint64{append([]uint64(nil), w.data...)}
-			winB := &interp.Window{
-				Data:        [][]uint64{append([]uint64(nil), w.data...)},
-				Meta:        map[string]uint64{"seq": w.seq, "x": w.x, "sender": w.sender, "wid": w.wid},
-				Loc:         w.loc,
-				ExactlyOnce: w.xonce,
-			}
-			decA, errA := sw.ExecWindowSlots(1, dataA, WindowMeta{Seq: w.seq, Sender: w.sender, Wid: w.wid, User: []uint64{w.x}, ExactlyOnce: w.xonce}, w.loc)
-			decB, errB := ref.ExecWindow(1, winB)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("seed %d window %d: error divergence: plan=%v reference=%v", seed, wi, errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if decA != decB {
-				t.Fatalf("seed %d window %d: decision divergence: %+v vs %+v", seed, wi, decA, decB)
-			}
-			for ei := range dataA[0] {
-				if dataA[0][ei] != winB.Data[0][ei] {
-					t.Fatalf("seed %d window %d: data[%d] divergence: %#x vs %#x",
-						seed, wi, ei, dataA[0][ei], winB.Data[0][ei])
+			wins = append(wins, w)
+		}
+		for lo := 0; lo < len(wins); {
+			// One batch executes at one location: it is the segment one
+			// switch runs.
+			hi := min(lo+1+sizes.Intn(4), len(wins))
+			loc := wins[lo].loc
+			jobs := make([]BatchJob, hi-lo)
+			for k, w := range wins[lo:hi] {
+				jobs[k] = BatchJob{
+					Data: [][]uint64{append([]uint64(nil), w.data...)},
+					Meta: WindowMeta{Seq: w.seq, Sender: w.sender, Wid: w.wid, User: []uint64{w.x}, ExactlyOnce: w.xonce},
 				}
 			}
+			if err := sw.ExecWindowBatch(1, jobs, loc); err != nil {
+				t.Fatalf("seed %d: batch [%d,%d): %v", seed, lo, hi, err)
+			}
+			for k, w := range wins[lo:hi] {
+				wi := lo + k
+				winB := &interp.Window{
+					Data:        [][]uint64{append([]uint64(nil), w.data...)},
+					Meta:        map[string]uint64{"seq": w.seq, "x": w.x, "sender": w.sender, "wid": w.wid},
+					Loc:         loc,
+					ExactlyOnce: w.xonce,
+				}
+				decA, errA := jobs[k].Dec, jobs[k].Err
+				decB, errB := ref.ExecWindow(1, winB)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("seed %d window %d: error divergence: plan=%v reference=%v", seed, wi, errA, errB)
+				}
+				if errA != nil {
+					continue
+				}
+				if decA != decB {
+					t.Fatalf("seed %d window %d: decision divergence: %+v vs %+v", seed, wi, decA, decB)
+				}
+				dataA := jobs[k].Data
+				for ei := range dataA[0] {
+					if dataA[0][ei] != winB.Data[0][ei] {
+						t.Fatalf("seed %d window %d: data[%d] divergence: %#x vs %#x",
+							seed, wi, ei, dataA[0][ei], winB.Data[0][ei])
+					}
+				}
+			}
+			lo = hi
 		}
 	}
 }

@@ -14,10 +14,9 @@ import (
 // plus its mutable state (register arrays and table entries). Load is
 // the compile step: it resolves every name to a dense index and swaps
 // the plan in atomically, so the data plane reads program structure
-// lock-free. State locking is fine-grained — one mutex per register
-// array, one RWMutex per table — so windows touching disjoint state
-// execute concurrently, like independent packets in a real PISA
-// pipeline.
+// lock-free. Each window runs under its kernel's lock set (the register
+// arrays and tables the kernel can touch), so concurrent windows are
+// serializable and kernels on disjoint state execute concurrently.
 type Switch struct {
 	target TargetConfig
 
@@ -321,7 +320,8 @@ func normalize(v uint64, bits int, signed bool) uint64 {
 	return v & types.TruncMask(bits)
 }
 
-// getScratch returns a zeroed-PHV scratch sized for n fields.
+// getScratch returns a scratch sized for n fields. The PHV is not
+// zeroed: ExecWindowBatch clears it before each window.
 func (sw *Switch) getScratch(n int) *execScratch {
 	s, _ := sw.scratch.Get().(*execScratch)
 	if s == nil {
@@ -333,14 +333,10 @@ func (sw *Switch) getScratch(n int) *execScratch {
 	}
 	s.phv = s.phv[:n]
 	s.snap = s.snap[:n]
-	for i := range s.phv {
-		s.phv[i] = 0
-	}
-	s.suppress = false
 	return s
 }
 
-// WindowMeta carries per-window metadata for the slot-bound fast path:
+// WindowMeta carries per-window metadata for the slot-bound data plane:
 // the builtin NCP header fields plus the user _win_ values in the
 // program's UserFields wire order. It replaces interp.Window's
 // per-packet map[string]uint64 on the switch data plane.
@@ -357,87 +353,39 @@ type WindowMeta struct {
 	ExactlyOnce bool
 }
 
-// ExecWindow runs the kernel with the given id over a window. The window's
-// Data and Meta use the same convention as the interpreter, making the
-// two engines directly comparable. Returns the forwarding decision.
-//
-// This is the compatibility path (name-map metadata); the switch data
-// plane uses ExecWindowSlots.
+// ExecWindow runs the kernel with the given id over a window, as a
+// batch of one through the data-plane core of ExecWindowBatch. The
+// window's Data and Meta use the same convention as the interpreter,
+// making the two engines directly comparable; the Meta map is bound
+// through the kernel's NCP wire order like a received packet's header
+// (names the wire cannot carry read zero). Returns the forwarding
+// decision.
 func (sw *Switch) ExecWindow(kernelID uint32, win *interp.Window) (interp.Decision, error) {
-	pl, kp, met, s, err := sw.begin(kernelID, win.Data)
+	pl, kp, err := sw.resolve(kernelID)
 	if err != nil {
 		return interp.Decision{}, err
 	}
-	defer sw.scratch.Put(s)
-	for name, f := range kp.k.WinMeta {
-		s.phv[f] = normalize(win.Meta[name], kp.k.Fields[f].Bits, kp.k.Fields[f].Signed)
-	}
-	if kp.locField != NoField {
-		s.phv[kp.locField] = uint64(win.Loc)
-	}
-	var admitted bool
-	if win.ExactlyOnce {
-		admitted = sw.admitShadow(pl, met, s, kp.tenant, win.Meta["seq"], win.Meta["sender"], win.Meta["wid"])
-	}
-	dec, err := sw.finish(pl, kp, met, s, win.Data)
-	if err != nil {
-		if admitted {
-			pl.shadow.forget(kp.tenant, win.Meta["seq"], win.Meta["sender"], win.Meta["wid"])
+	var user []uint64
+	if len(kp.userFields) > 0 {
+		user = make([]uint64, len(kp.userFields))
+		for i, name := range kp.userFields {
+			user[i] = win.Meta[name]
 		}
-		return dec, err
 	}
-	dec.Suppressed = s.suppress
-	return dec, nil
-}
-
-// ExecWindowSlots runs a kernel over a window using the precompiled
-// metadata binding: no name maps, no per-window allocation. data is
-// read and written in place (the deparsed window). meta.User follows
-// the program's UserFields order.
-func (sw *Switch) ExecWindowSlots(kernelID uint32, data [][]uint64, meta WindowMeta, loc uint32) (interp.Decision, error) {
-	pl, kp, met, s, err := sw.begin(kernelID, data)
-	if err != nil {
-		return interp.Decision{}, err
+	jobs := [1]BatchJob{{Data: win.Data, Meta: WindowMeta{
+		Seq:         win.Meta["seq"],
+		Len:         win.Meta["len"],
+		From:        win.Meta["from"],
+		Sender:      win.Meta["sender"],
+		Wid:         win.Meta["wid"],
+		User:        user,
+		ExactlyOnce: win.ExactlyOnce,
+	}}}
+	sw.execBatch(pl, kp, jobs[:], win.Loc)
+	if jobs[0].Err != nil {
+		return interp.Decision{}, jobs[0].Err
 	}
-	defer sw.scratch.Put(s)
-	for _, mb := range kp.metaBind {
-		var v uint64
-		switch mb.src {
-		case metaSeq:
-			v = meta.Seq
-		case metaLen:
-			v = meta.Len
-		case metaFrom:
-			v = meta.From
-		case metaSender:
-			v = meta.Sender
-		case metaWid:
-			v = meta.Wid
-		case metaMissing:
-			v = 0
-		default:
-			if i := mb.src - metaUser0; i < len(meta.User) {
-				v = meta.User[i]
-			}
-		}
-		s.phv[mb.f] = normalize(v, mb.bits, mb.signed)
-	}
-	if kp.locField != NoField {
-		s.phv[kp.locField] = uint64(loc)
-	}
-	var admitted bool
-	if meta.ExactlyOnce {
-		admitted = sw.admitShadow(pl, met, s, kp.tenant, meta.Seq, meta.Sender, meta.Wid)
-	}
-	dec, err := sw.finish(pl, kp, met, s, data)
-	if err != nil {
-		if admitted {
-			pl.shadow.forget(kp.tenant, meta.Seq, meta.Sender, meta.Wid)
-		}
-		return dec, err
-	}
-	dec.Suppressed = s.suppress
-	return dec, nil
+	return jobs[0].Dec, nil
 }
 
 // admitShadow runs a window's exactly-once admission: a fresh window
@@ -455,44 +403,22 @@ func (sw *Switch) admitShadow(pl *plan, met *pisaMetrics, s *execScratch, tenant
 	return fresh
 }
 
-// begin resolves the kernel, counts the window, and parses the window
-// data into pooled scratch.
-func (sw *Switch) begin(kernelID uint32, data [][]uint64) (*plan, *kernelPlan, *pisaMetrics, *execScratch, error) {
+// resolve loads the current plan and the kernel's compiled form.
+func (sw *Switch) resolve(kernelID uint32) (*plan, *kernelPlan, error) {
 	pl := sw.plan.Load()
 	if pl == nil {
-		return nil, nil, nil, nil, fmt.Errorf("pisa: no program loaded")
+		return nil, nil, fmt.Errorf("pisa: no program loaded")
 	}
 	kp := pl.kernels[kernelID]
 	if kp == nil {
-		return nil, nil, nil, nil, fmt.Errorf("pisa: no kernel with id %d", kernelID)
+		return nil, nil, fmt.Errorf("pisa: no kernel with id %d", kernelID)
 	}
-	met := sw.met.Load()
-	met.windows.Inc()
-	if met.tenantWindows != nil {
-		if c := met.tenantWindows[kp.tenant]; c != nil {
-			c.Inc()
-		}
-	}
-	s := sw.getScratch(kp.numFields)
-	if err := kp.parse(data, s.phv); err != nil {
-		sw.scratch.Put(s)
-		return nil, nil, nil, nil, err
-	}
-	return pl, kp, met, s, nil
-}
-
-// finish runs the pipeline passes, deparses, and derives the decision.
-func (sw *Switch) finish(pl *plan, kp *kernelPlan, met *pisaMetrics, s *execScratch, data [][]uint64) (interp.Decision, error) {
-	if err := kp.execPasses(met, s, false); err != nil {
-		return interp.Decision{}, err
-	}
-	kp.deparse(data, s.phv)
-	return kp.decision(pl, s.phv), nil
+	return pl, kp, nil
 }
 
 // BatchJob is one window in an ExecWindowBatch call: Data and Meta are
-// the inputs (same conventions as ExecWindowSlots — Data is deparsed in
-// place); Dec and Err are filled per window by the call.
+// the inputs (Data is deparsed in place, Meta.User follows the program's
+// UserFields order); Dec and Err are filled per window by the call.
 type BatchJob struct {
 	Data [][]uint64
 	Meta WindowMeta
@@ -500,34 +426,34 @@ type BatchJob struct {
 	Err  error
 }
 
-// ExecWindowBatch runs one kernel over a batch of windows, amortizing
-// the per-window overheads of ExecWindowSlots: the plan pointer is
-// loaded once, one pooled scratch is reused across the batch, and —
-// the main win — the kernel's entire register/table lock set is
-// acquired once around the loop (lockState) instead of once per state
-// access per window. Windows execute sequentially in batch order, so
-// SALU read-modify-write atomicity and exactly-once suppression
-// semantics are identical to the one-at-a-time path; batches for
-// different kernels still run concurrently when their lock sets are
-// disjoint, and cannot deadlock otherwise because lockState acquires in
-// global plan-index order.
+// ExecWindowBatch is the device's data-plane entry: it runs one kernel
+// over a batch of windows, in batch order, under the kernel's whole
+// register/table lock set (lockState), acquired once for the batch. A
+// window therefore crosses every stage before the next window of the
+// kernel enters, as in a PISA pipeline, and concurrent batches are
+// serializable; batches for kernels with disjoint lock sets run
+// concurrently, and cannot deadlock otherwise because lockState acquires
+// in global plan-index order. The plan pointer and pooled scratch are
+// also loaded once per batch. A batch of one is the per-packet case.
 //
 // A batch-level problem (no program, unknown kernel) returns an error
 // with no window executed. Per-window failures land in jobs[i].Err and
 // do not stop the rest of the batch; a failed exactly-once window's
-// shadow admission is rolled back exactly as in ExecWindowSlots.
+// shadow admission is rolled back so its retransmit can apply.
 func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	pl := sw.plan.Load()
-	if pl == nil {
-		return fmt.Errorf("pisa: no program loaded")
+	pl, kp, err := sw.resolve(kernelID)
+	if err != nil {
+		return err
 	}
-	kp := pl.kernels[kernelID]
-	if kp == nil {
-		return fmt.Errorf("pisa: no kernel with id %d", kernelID)
-	}
+	sw.execBatch(pl, kp, jobs, loc)
+	return nil
+}
+
+// execBatch is ExecWindowBatch after kernel resolution.
+func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint32) {
 	met := sw.met.Load()
 	met.windows.Add(uint64(len(jobs)))
 	if met.tenantWindows != nil {
@@ -541,44 +467,19 @@ func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) 
 	defer kp.unlockState()
 	for i := range jobs {
 		j := &jobs[i]
-		for k := range s.phv {
-			s.phv[k] = 0
-		}
+		j.Dec, j.Err = interp.Decision{}, nil
+		clear(s.phv)
 		s.suppress = false
 		if err := kp.parse(j.Data, s.phv); err != nil {
 			j.Err = err
 			continue
 		}
-		for _, mb := range kp.metaBind {
-			var v uint64
-			switch mb.src {
-			case metaSeq:
-				v = j.Meta.Seq
-			case metaLen:
-				v = j.Meta.Len
-			case metaFrom:
-				v = j.Meta.From
-			case metaSender:
-				v = j.Meta.Sender
-			case metaWid:
-				v = j.Meta.Wid
-			case metaMissing:
-				v = 0
-			default:
-				if ui := mb.src - metaUser0; ui < len(j.Meta.User) {
-					v = j.Meta.User[ui]
-				}
-			}
-			s.phv[mb.f] = normalize(v, mb.bits, mb.signed)
-		}
-		if kp.locField != NoField {
-			s.phv[kp.locField] = uint64(loc)
-		}
+		kp.bindMeta(s.phv, &j.Meta, loc)
 		var admitted bool
 		if j.Meta.ExactlyOnce {
 			admitted = sw.admitShadow(pl, met, s, kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
 		}
-		if err := kp.execPasses(met, s, true); err != nil {
+		if err := kp.execPasses(met, s); err != nil {
 			if admitted {
 				pl.shadow.forget(kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
 			}
@@ -589,7 +490,36 @@ func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) 
 		j.Dec = kp.decision(pl, s.phv)
 		j.Dec.Suppressed = s.suppress
 	}
-	return nil
+}
+
+// bindMeta writes the window metadata and the executing location into
+// the PHV through the kernel's precompiled slot bindings.
+func (kp *kernelPlan) bindMeta(phv []uint64, meta *WindowMeta, loc uint32) {
+	for _, mb := range kp.metaBind {
+		var v uint64
+		switch mb.src {
+		case metaSeq:
+			v = meta.Seq
+		case metaLen:
+			v = meta.Len
+		case metaFrom:
+			v = meta.From
+		case metaSender:
+			v = meta.Sender
+		case metaWid:
+			v = meta.Wid
+		case metaMissing:
+			v = 0
+		default:
+			if ui := mb.src - metaUser0; ui < len(meta.User) {
+				v = meta.User[ui]
+			}
+		}
+		phv[mb.f] = normalize(v, mb.bits, mb.signed)
+	}
+	if kp.locField != NoField {
+		phv[kp.locField] = uint64(loc)
+	}
 }
 
 func boolBit(b bool) uint64 {

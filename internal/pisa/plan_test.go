@@ -44,29 +44,47 @@ func statelessProgram() *Program {
 	return &Program{Name: "stateless", Kernels: []*Kernel{k}}
 }
 
-// TestSwitchExecAllocsFlat asserts the ISSUE's allocation budget: the
-// stateless ExecWindowSlots hot path performs at most 2 allocations per
+// execOne runs one window through the data-plane entry as a batch of
+// one.
+func execOne(sw *Switch, kernelID uint32, data [][]uint64, meta WindowMeta, loc uint32) (interp.Decision, error) {
+	jobs := []BatchJob{{Data: data, Meta: meta}}
+	if err := sw.ExecWindowBatch(kernelID, jobs, loc); err != nil {
+		return interp.Decision{}, err
+	}
+	return jobs[0].Dec, jobs[0].Err
+}
+
+// execAllocs measures ExecWindowBatch allocations per window for a reused
+// batch of one.
+func execAllocs(t *testing.T, sw *Switch, data [][]uint64, loc uint32) float64 {
+	t.Helper()
+	jobs := make([]BatchJob, 1)
+	run := func() {
+		jobs[0] = BatchJob{Data: data, Meta: WindowMeta{Seq: 1}}
+		if err := sw.ExecWindowBatch(1, jobs, loc); err != nil {
+			t.Fatal(err)
+		}
+		if jobs[0].Err != nil {
+			t.Fatal(jobs[0].Err)
+		}
+	}
+	// Warm the scratch pool.
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	return testing.AllocsPerRun(500, run)
+}
+
+// TestSwitchExecAllocsFlat asserts the allocation budget: the stateless
+// data-plane path (a batch of one) performs at most 2 allocations per
 // window at steady state (pooled scratch should make it 0).
 func TestSwitchExecAllocsFlat(t *testing.T) {
 	sw := NewSwitch(DefaultTarget())
 	if err := sw.Load(statelessProgram()); err != nil {
 		t.Fatal(err)
 	}
-	data := [][]uint64{make([]uint64, 8)}
-	meta := WindowMeta{Seq: 1}
-	// Warm the scratch pool.
-	for i := 0; i < 8; i++ {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 2 {
-		t.Fatalf("stateless ExecWindowSlots allocates %.2f/window, budget is 2", avg)
+	if avg := execAllocs(t, sw, [][]uint64{make([]uint64, 8)}, 7); avg > 2 {
+		t.Fatalf("stateless ExecWindowBatch allocates %.2f/window, budget is 2", avg)
 	}
 }
 
@@ -77,20 +95,8 @@ func TestSwitchExecAllocsFlatStateful(t *testing.T) {
 	if err := sw.Load(handProgram()); err != nil {
 		t.Fatal(err)
 	}
-	data := [][]uint64{{5}}
-	meta := WindowMeta{Seq: 1}
-	for i := 0; i < 8; i++ {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 2 {
-		t.Fatalf("stateful ExecWindowSlots allocates %.2f/window, budget is 2", avg)
+	if avg := execAllocs(t, sw, [][]uint64{{5}}, 0); avg > 2 {
+		t.Fatalf("stateful ExecWindowBatch allocates %.2f/window, budget is 2", avg)
 	}
 }
 
@@ -135,7 +141,7 @@ func TestUserFieldWireOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := [][]uint64{{0}}
-	if _, err := sw.ExecWindowSlots(1, data, WindowMeta{User: user}, 0); err != nil {
+	if _, err := execOne(sw, 1, data, WindowMeta{User: user}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if data[0][0] != 20 {
@@ -149,7 +155,7 @@ func TestUserFieldWireOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	data2 := [][]uint64{{0}}
-	if _, err := sw2.ExecWindowSlots(1, data2, WindowMeta{User: []uint64{20}}, 0); err != nil {
+	if _, err := execOne(sw2, 1, data2, WindowMeta{User: []uint64{20}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if data2[0][0] != 20 {
@@ -157,11 +163,12 @@ func TestUserFieldWireOrder(t *testing.T) {
 	}
 }
 
-// TestSwitchConcurrentControlPlane stress-tests the fine-grained locking
-// under -race: windows execute concurrently with register writes/reads,
-// table churn, and full program reloads. Correctness here is the absence
-// of data races and panics; semantic equivalence is covered by the
-// differential property tests.
+// TestSwitchConcurrentControlPlane stress-tests the state locking under
+// -race: windows execute concurrently — through ExecWindow and through
+// ExecWindowBatch with batches of one and of several — with register
+// writes/reads, table churn, and full program reloads. Correctness here
+// is the absence of data races and panics; semantic equivalence is
+// covered by the differential property tests.
 func TestSwitchConcurrentControlPlane(t *testing.T) {
 	prog := handProgram()
 	prog.Tables = []string{"t"}
@@ -177,16 +184,28 @@ func TestSwitchConcurrentControlPlane(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			win := &interp.Window{Data: [][]uint64{{uint64(g)}}, Meta: map[string]uint64{"seq": 0}}
-			data := [][]uint64{{uint64(g)}}
+			jobs := make([]BatchJob, 1+g%3)
+			for k := range jobs {
+				jobs[k].Data = [][]uint64{{uint64(g)}}
+			}
 			for i := 0; i < iters; i++ {
 				win.Meta["seq"] = uint64(i)
 				if _, err := sw.ExecWindow(1, win); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := sw.ExecWindowSlots(1, data, WindowMeta{Seq: uint64(i)}, 0); err != nil {
+				for k := range jobs {
+					jobs[k].Meta = WindowMeta{Seq: uint64(i)}
+				}
+				if err := sw.ExecWindowBatch(1, jobs, 0); err != nil {
 					t.Error(err)
 					return
+				}
+				for k := range jobs {
+					if jobs[k].Err != nil {
+						t.Error(jobs[k].Err)
+						return
+					}
 				}
 			}
 		}(g)

@@ -204,7 +204,7 @@ func TestShadowMetrics(t *testing.T) {
 	sw.SetObs(r, "x")
 	meta := WindowMeta{Seq: 1, Sender: 2, Wid: 3, ExactlyOnce: true}
 	for i := 0; i < 3; i++ {
-		if _, err := sw.ExecWindowSlots(1, [][]uint64{{1, 0}}, meta, 0); err != nil {
+		if _, err := execOne(sw, 1, [][]uint64{{1, 0}}, meta, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,10 +65,6 @@ type AppConfig struct {
 	// TraceEvery samples every Nth sent window for in-band hop tracing
 	// (0 = off). Host.SetTraceEvery adjusts it at runtime.
 	TraceEvery int
-	// ExecWorkers is a deployment-level knob consumed by core.Deploy:
-	// each switch node pipelines received windows across this many
-	// goroutines (0/1 = serial in-order execution, today's behavior).
-	ExecWorkers int
 	// FabricInboxCap is a deployment-level knob consumed by core.Deploy:
 	// the per-node fabric inbox capacity (0 = netsim.DefaultInboxCap).
 	// A full inbox drops and counts fabric.<label>.inbox_drops rather

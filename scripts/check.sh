@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet"
 go vet ./...
+# perfbench is its own module (replace ncl => ../): the root ./... never
+# compiles it, so an API change could break the benchmark silently.
+(cd perfbench && go vet ./...)
 
 echo "== gofmt"
 badfmt=$(gofmt -l .)
@@ -32,6 +35,8 @@ fi
 if [ "${NCL_CHECK_SKIP_TESTS:-0}" != "1" ]; then
     echo "== go test -race"
     go test -race ./...
+    echo "== perfbench tests"
+    (cd perfbench && go test ./...)
 fi
 
 echo "check OK"
