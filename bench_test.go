@@ -182,7 +182,7 @@ func BenchmarkE5NCPDecode(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ncp.Decode(pkt); err != nil {
+		if _, _, _, _, err := ncp.DecodeFull(pkt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,7 +331,8 @@ const reliableBenchAND = "switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s
 // 10%-lossy fabric with the stop-and-wait degenerate case (Window=1)
 // against the pipelined sliding window (Window=32). Serial mode pays
 // each loss's retransmit timeout sequentially; the sliding window
-// overlaps them, which is the whole point of the transport.
+// overlaps them, which is the whole point of the transport. The lossless
+// case prices acknowledged delivery against Out on a perfect fabric.
 func BenchmarkReliableLossy(b *testing.B) {
 	const (
 		W       = 8
@@ -370,6 +371,48 @@ func BenchmarkReliableLossy(b *testing.B) {
 			b.ReportMetric(float64(retx)/float64(b.N), "retransmits")
 		})
 	}
+	// lossless: the same invocation over a perfect fabric, sent once with
+	// OutReliable (Window=32) and once with Out on one deployment, so the
+	// cost of acknowledged delivery reads directly against the plain send
+	// path. Out's time ends when its packets are handed to the fabric;
+	// OutReliable's when the last ack lands.
+	b.Run("lossless", func(b *testing.B) {
+		dep, err := art.Deploy(ncl.Faults{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer dep.Stop()
+		sender, recv := dep.Hosts["a"], dep.Hosts["b"]
+		inv := runtime.Invocation{Kernel: "forward", Dest: "b"}
+		drain := func() {
+			deadline := time.Now().Add(5 * time.Second)
+			for n := 0; n < windows; n++ {
+				if _, err := recv.Recv(time.Until(deadline)); err != nil {
+					b.Fatalf("receiver got %d of %d windows: %v", n, windows, err)
+				}
+			}
+		}
+		var relNs, outNs time.Duration
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			if err := sender.OutReliable(inv, [][]uint64{data},
+				runtime.ReliableOptions{Timeout: time.Second, Window: 32}); err != nil {
+				b.Fatal(err)
+			}
+			relNs += time.Since(t0)
+			drain()
+			t0 = time.Now()
+			if err := sender.Out(inv, [][]uint64{data}); err != nil {
+				b.Fatal(err)
+			}
+			outNs += time.Since(t0)
+			drain()
+		}
+		perWindow := float64(b.N * windows)
+		b.ReportMetric(float64(relNs.Nanoseconds())/perWindow, "reliable-ns/window")
+		b.ReportMetric(float64(outNs.Nanoseconds())/perWindow, "out-ns/window")
+		b.ReportMetric(float64(relNs)/float64(outNs), "reliable/out")
+	})
 }
 
 // --- core engine microbenchmarks ---

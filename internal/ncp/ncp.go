@@ -62,7 +62,7 @@ const (
 )
 
 // KnownFlags is the set of flag bits this wire version understands.
-// Decode rejects packets with any other bit set (forward-compat guard:
+// DecodeFull rejects packets with any other bit set (forward-compat guard:
 // an unknown flag may change packet layout, as FlagTrace does).
 const KnownFlags = FlagReflected | FlagBcast | FlagAckRequest | FlagAck | FlagTrace | FlagExactlyOnce
 
@@ -196,14 +196,6 @@ func MarshalHops(h *Header, userVals []uint64, hops []Hop, payload []byte) ([]by
 	h.Checksum = checksum(buf)
 	be.PutUint16(buf[32:34], h.Checksum)
 	return buf, nil
-}
-
-// Decode parses an NCP packet, verifying magic, version, structure, and
-// checksum. The returned payload aliases pkt. Hop records of traced
-// windows are discarded; use DecodeFull to keep them.
-func Decode(pkt []byte) (*Header, []uint64, []byte, error) {
-	h, userVals, _, payload, err := DecodeFull(pkt)
-	return h, userVals, payload, err
 }
 
 // DecodeFull parses an NCP packet including any in-band hop trace,

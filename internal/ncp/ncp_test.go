@@ -27,7 +27,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if !IsNCP(pkt) {
 		t.Fatal("marshaled packet must be recognized as NCP")
 	}
-	h2, user2, payload2, err := Decode(pkt)
+	h2, user2, _, payload2, err := DecodeFull(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestNonNCPRejected(t *testing.T) {
 	if IsNCP([]byte{0x45, 0x00, 0x01, 0x02}) {
 		t.Error("IPv4-looking bytes must not be NCP")
 	}
-	if _, _, _, err := Decode(make([]byte, 100)); err != ErrNotNCP {
+	if _, _, _, _, err := DecodeFull(make([]byte, 100)); err != ErrNotNCP {
 		t.Errorf("zeroed packet: err = %v, want ErrNotNCP", err)
 	}
 	if IsNCP([]byte{0x4E}) {
@@ -63,7 +63,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	for _, flip := range []int{4, 9, HeaderSize + 1} {
 		bad := append([]byte(nil), pkt...)
 		bad[flip] ^= 0x40
-		if _, _, _, err := Decode(bad); err == nil {
+		if _, _, _, _, err := DecodeFull(bad); err == nil {
 			t.Errorf("corruption at byte %d not detected", flip)
 		}
 	}
@@ -75,7 +75,7 @@ func TestTruncatedPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Decode(pkt[:len(pkt)-3]); err == nil {
+	if _, _, _, _, err := DecodeFull(pkt[:len(pkt)-3]); err == nil {
 		t.Error("truncation not detected")
 	}
 }
@@ -84,7 +84,7 @@ func TestBadVersion(t *testing.T) {
 	h := &Header{KernelID: 1, FragCount: 1}
 	pkt, _ := Marshal(h, nil, nil)
 	pkt[2] = 99
-	if _, _, _, err := Decode(pkt); err == nil {
+	if _, _, _, _, err := DecodeFull(pkt); err == nil {
 		t.Error("bad version not rejected")
 	}
 }
@@ -169,7 +169,7 @@ func TestMarshalDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		h2, u2, p2, err := Decode(pkt)
+		h2, u2, _, p2, err := DecodeFull(pkt)
 		if err != nil {
 			return false
 		}

@@ -74,7 +74,7 @@ func TestMarshalHopsRoundTrip(t *testing.T) {
 		t.Errorf("payload: %v", payload2)
 	}
 	// The compact Decode still works on traced packets, discarding hops.
-	h3, _, payload3, err := Decode(pkt)
+	h3, _, _, payload3, err := DecodeFull(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestUnknownFlagBitsRejected(t *testing.T) {
 	c := checksum(pkt)
 	pkt[32] = byte(c >> 8)
 	pkt[33] = byte(c)
-	if _, _, _, err := Decode(pkt); err == nil || !strings.Contains(err.Error(), "unknown flag") {
+	if _, _, _, _, err := DecodeFull(pkt); err == nil || !strings.Contains(err.Error(), "unknown flag") {
 		t.Fatalf("unknown flag bits must be rejected, got %v", err)
 	}
 }

@@ -347,7 +347,7 @@ func TestBatchedSwitchPreservesOrder(t *testing.T) {
 	defer b.mu.Unlock()
 	spec := []ncp.ParamSpec{{Elems: 1, Bytes: 4, Signed: true}}
 	for i, p := range b.got {
-		_, _, payload, err := ncp.Decode(p.Data)
+		_, _, _, payload, err := ncp.DecodeFull(p.Data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestSwitchNodeBatchUnpacks(t *testing.T) {
 	}
 	want := map[uint64]bool{42: false, 101: false}
 	for _, pkt := range b.got {
-		h, _, payload, err := ncp.Decode(pkt.Data)
+		h, _, _, payload, err := ncp.DecodeFull(pkt.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestSwitchNodeBcastEncodesOnce(t *testing.T) {
 	if &a.got[0].Data[0] != &b.got[0].Data[0] || &b.got[0].Data[0] != &c.got[0].Data[0] {
 		t.Error("broadcast copies diverged: each neighbor got a separate encoding")
 	}
-	h, _, _, err := ncp.Decode(b.got[0].Data)
+	h, _, _, _, err := ncp.DecodeFull(b.got[0].Data)
 	if err != nil {
 		t.Fatalf("broadcast bytes corrupt: %v", err)
 	}

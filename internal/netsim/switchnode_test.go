@@ -80,7 +80,7 @@ func TestSwitchNodeExecutesAndForwards(t *testing.T) {
 	if sn.KernelWindows.Load() != 1 {
 		t.Errorf("kernel windows = %d", sn.KernelWindows.Load())
 	}
-	h, _, payload, err := ncp.Decode(b.got[0].Data)
+	h, _, _, payload, err := ncp.DecodeFull(b.got[0].Data)
 	if err != nil {
 		t.Fatal(err)
 	}

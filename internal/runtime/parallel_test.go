@@ -42,7 +42,7 @@ func countAcks(tb testing.TB, lb *loopbackSender) map[uint32]int {
 	lb.mu.Unlock()
 	acks := map[uint32]int{}
 	for _, p := range pkts {
-		hd, _, _, err := ncp.Decode(p.Data)
+		hd, _, _, _, err := ncp.DecodeFull(p.Data)
 		if err != nil {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ncl/internal/ncp"
+	"ncl/internal/netsim"
 )
 
 // Reliable window delivery — the optional extension over the paper's §6
@@ -16,10 +17,12 @@ import (
 // application, and the sender retransmits unacknowledged windows on a
 // timeout.
 //
-// OutReliable is a pipelined sliding-window transport: up to Window
-// windows are in flight at once, each with its own retransmit timer armed
-// at send time, exponential backoff with jitter between attempts, and
-// selective retransmission (only the timed-out window is resent). A
+// OutReliable is a pipelined sliding-window transport run by one sender
+// loop on the caller's goroutine (reliableLoop): up to Window windows are
+// in flight at once, each with its own retransmit deadline set at send
+// time, exponential backoff with jitter between attempts, and selective
+// retransmission (only timed-out windows are resent). The per-call state
+// is pooled — no goroutine, channel or timer per window or per call. A
 // window that exhausts its retries does not abandon the others — every
 // outstanding window runs to completion and the first hard error (lowest
 // window sequence) is reported.
@@ -84,20 +87,65 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 	return o
 }
 
+// backoff returns the retransmit timeout after one more failed attempt:
+// timeout x BackoffFactor, capped at MaxBackoff, randomized by ±Jitter.
+func (o ReliableOptions) backoff(timeout time.Duration) time.Duration {
+	next := time.Duration(float64(timeout) * o.BackoffFactor)
+	if next > o.MaxBackoff {
+		next = o.MaxBackoff
+	}
+	if o.Jitter > 0 {
+		next += time.Duration((rand.Float64()*2 - 1) * o.Jitter * float64(next))
+	}
+	return next
+}
+
 // ackKey identifies an outstanding window.
 type ackKey struct {
 	wid uint32
 	seq uint32
 }
 
-// ackWait tracks one outstanding reliable window: the channel the sender
-// blocks on and when the most recent attempt left, so the ack's arrival
-// can be observed as a per-attempt round-trip latency
-// (host.<label>.ack_rtt_us). sent is guarded by Host.ackMu.
+// ackWait is one outstanding reliable window as the ack path sees it:
+// when the most recent attempt left, so the ack's arrival can be observed
+// as a per-attempt round-trip latency (host.<label>.ack_rtt_us), whether
+// the ack has landed, and the owning call's wake channel. Guarded by
+// Host.ackMu.
 type ackWait struct {
-	ch   chan struct{}
-	sent time.Time
+	sent  time.Time
+	acked bool
+	wake  chan struct{}
 }
+
+// relWin is one slot of a reliable call's in-flight ring.
+type relWin struct {
+	seq      int
+	attempt  int
+	timeout  time.Duration // the current attempt's retransmit timeout
+	deadline time.Time
+	live     bool // admitted and not yet finished
+	due      bool // (re)transmit in this sweep
+	wait     ackWait
+}
+
+// relCall is OutReliable's pooled per-call state: the in-flight ring, the
+// channel handleAck wakes the caller on, the one retransmit timer, the
+// window-data scratch, and the lowest-sequence error so far.
+type relCall struct {
+	wins    []relWin
+	live    int
+	wake    chan struct{}
+	timer   *time.Timer
+	winData [][]uint64
+	err     error
+	errSeq  int
+}
+
+var relPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &relCall{wake: make(chan struct{}, 1), timer: t}
+}}
 
 // OutReliable sends arrays like Out but requests acknowledgment for each
 // window and retransmits lost ones, keeping up to opts.Window windows in
@@ -114,58 +162,160 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 		return err
 	}
 	windows, err := h.windowCount(inv.Kernel, arrays, specs)
-	if err != nil {
+	if err != nil || windows == 0 {
 		return err
 	}
-	W := h.cfg.WindowLen
-	wid := h.nextWid()
+	wid := h.NewWid()
 	flags := uint8(ncp.FlagAckRequest)
 	if opts.ExactlyOnce || h.cfg.NonIdempotent[inv.Kernel] {
 		flags |= ncp.FlagExactlyOnce
 	}
-	winAt := func(seq int) [][]uint64 {
-		winData := make([][]uint64, len(specs))
-		for pi, sp := range specs {
-			if sp.Elems == W {
-				winData[pi] = arrays[pi][seq*W : (seq+1)*W]
-			} else {
-				winData[pi] = arrays[pi][seq : seq+1]
-			}
-		}
-		return winData
-	}
+	c := relPool.Get().(*relCall)
+	c.wins = append(c.wins[:0], make([]relWin, min(opts.Window, windows))...)
+	c.winData = append(c.winData[:0], make([][]uint64, len(specs))...)
+	sc := h.getScratch()
+	sc.bs, _ = h.send.(netsim.BatchSender)
+	err = h.reliableLoop(c, sc, inv, wid, arrays, specs, windows, opts, flags)
+	sc.bs = nil
+	h.putScratch(sc)
 
-	// The sliding window: a semaphore admits up to opts.Window concurrent
-	// windows; each runs its own send/retransmit loop. Errors are
-	// aggregated — the lowest-sequence failure wins — so a lost window
-	// never strands the ones already in flight.
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, opts.Window)
-		errMu    sync.Mutex
-		firstErr error
-		errSeq   int
-	)
-	record := func(seq int, err error) {
-		errMu.Lock()
-		if firstErr == nil || seq < errSeq {
-			firstErr, errSeq = err, seq
-		}
-		errMu.Unlock()
+	// Every window finished under ackMu (acked, or deleted from h.acks), so
+	// no handleAck can reach c any more: drop a leftover wake token and
+	// timer tick, and the caller's arrays, before pooling it.
+	select {
+	case <-c.wake:
+	default:
 	}
-	for seq := 0; seq < windows; seq++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(seq int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := h.reliableWindow(inv, wid, uint32(seq), winAt(seq), specs, opts, flags); err != nil {
-				record(seq, err)
+	c.stopTimer()
+	clear(c.winData)
+	c.err = nil
+	relPool.Put(c)
+	return err
+}
+
+// reliableLoop is the sender loop. Each sweep, under one ackMu hold,
+// finishes acked windows, fails exhausted ones, schedules expired ones
+// for retransmission, and admits new windows into free slots; it then
+// transmits the scheduled windows outside the lock (handleAck runs
+// synchronously inside the transport on loopback backends) and sleeps
+// until an ack wakes it or the earliest deadline passes.
+func (h *Host) reliableLoop(c *relCall, sc *sendScratch, inv Invocation, wid uint32, arrays [][]uint64, specs []ncp.ParamSpec, windows int, opts ReliableOptions, flags uint8) error {
+	next := 0 // next sequence number to admit
+	for {
+		now := time.Now()
+		var earliest time.Time
+		h.ackMu.Lock()
+		for i := range c.wins {
+			w := &c.wins[i]
+			w.due = false
+			if w.live {
+				switch {
+				case w.wait.acked:
+					h.finishWin(c, w, nil)
+				case now.Before(w.deadline):
+				case w.attempt == opts.Retries:
+					delete(h.acks, ackKey{wid, uint32(w.seq)})
+					h.finishWin(c, w, fmt.Errorf("runtime: window %d of invocation %d was never acknowledged after %d attempts (consumed on-path, or the destination is unreachable)",
+						w.seq, wid, opts.Retries+1))
+				default:
+					w.attempt++
+					w.timeout = opts.backoff(w.timeout)
+					w.due = true
+				}
 			}
-		}(seq)
+			if !w.live && next < windows {
+				*w = relWin{seq: next, timeout: opts.Timeout, live: true, due: true, wait: ackWait{wake: c.wake}}
+				h.acks[ackKey{wid, uint32(next)}] = &w.wait
+				h.met.inflight.Add(1)
+				c.live++
+				next++
+			}
+			if w.due {
+				w.wait.sent = now // per-attempt RTT baseline
+				w.deadline = now.Add(w.timeout)
+			}
+			if w.live && (earliest.IsZero() || w.deadline.Before(earliest)) {
+				earliest = w.deadline
+			}
+		}
+		h.ackMu.Unlock()
+
+		for i := range c.wins {
+			w := &c.wins[i]
+			if !w.due {
+				continue
+			}
+			if w.attempt > 0 {
+				h.met.retransmits.Inc()
+				h.met.backoffUs.Observe(float64(w.timeout) / float64(time.Microsecond))
+			}
+			h.fillWindow(c.winData, arrays, specs, w.seq)
+			if err := h.sendWindowScratch(inv, wid, uint32(w.seq), c.winData, specs, flags, sc); err != nil {
+				h.abandonWin(c, w, wid, err)
+			}
+		}
+		if err := h.flushSendQueue(sc); err != nil {
+			for i := range c.wins { // the burst failed: so did its windows
+				if c.wins[i].due {
+					h.abandonWin(c, &c.wins[i], wid, err)
+				}
+			}
+		}
+		h.flushScratch(sc)
+
+		if c.live == 0 {
+			if next == windows {
+				return c.err
+			}
+			continue
+		}
+		select {
+		case <-c.wake: // an ack landed during the sends
+			continue
+		default:
+		}
+		if d := time.Until(earliest); d > 0 {
+			c.stopTimer()
+			c.timer.Reset(d)
+			select {
+			case <-c.wake:
+			case <-c.timer.C:
+			}
+		}
 	}
-	wg.Wait()
-	return firstErr
+}
+
+// finishWin retires an in-flight window, recording err (lowest sequence
+// wins). Caller holds ackMu or owns a window no ack can reach.
+func (h *Host) finishWin(c *relCall, w *relWin, err error) {
+	w.live = false
+	c.live--
+	h.met.inflight.Add(-1)
+	if err != nil && (c.err == nil || w.seq < c.errSeq) {
+		c.err, c.errSeq = err, w.seq
+	}
+}
+
+// abandonWin fails a window whose transmission failed — unless it already
+// finished, or its ack landed and the next sweep completes it.
+func (h *Host) abandonWin(c *relCall, w *relWin, wid uint32, err error) {
+	h.ackMu.Lock()
+	defer h.ackMu.Unlock()
+	if w.live && !w.wait.acked {
+		delete(h.acks, ackKey{wid, uint32(w.seq)})
+		h.finishWin(c, w, err)
+	}
+}
+
+// stopTimer stops the call's timer and drains a tick that already fired
+// (go 1.22 timer channel semantics), leaving it ready for Reset.
+func (c *relCall) stopTimer() {
+	if !c.timer.Stop() {
+		select {
+		case <-c.timer.C:
+		default:
+		}
+	}
 }
 
 // windowCount validates array shapes against the kernel's specs and
@@ -193,82 +343,10 @@ func (h *Host) windowCount(kernel string, arrays [][]uint64, specs []ncp.ParamSp
 	return windows, nil
 }
 
-// reliableWindow runs one window's send/retransmit loop: register the
-// ack wait, send with the retransmit timer armed at send time, back off
-// exponentially (with jitter) between attempts, and retransmit only this
-// window. Returns nil once acknowledged.
-func (h *Host) reliableWindow(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec, opts ReliableOptions, flags uint8) error {
-	k := ackKey{wid, seq}
-	w := &ackWait{ch: make(chan struct{})}
-	h.ackMu.Lock()
-	if h.acks == nil {
-		h.acks = map[ackKey]*ackWait{}
-	}
-	h.acks[k] = w
-	h.ackMu.Unlock()
-	defer func() {
-		h.ackMu.Lock()
-		delete(h.acks, k)
-		h.ackMu.Unlock()
-	}()
-	h.met.inflight.Add(1)
-	defer h.met.inflight.Add(-1)
-
-	timeout := opts.Timeout
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		if attempt > 0 {
-			// The ack may have landed between the timer firing and this
-			// retransmit; skip the resend.
-			select {
-			case <-w.ch:
-				return nil
-			default:
-			}
-			h.met.retransmits.Inc()
-		}
-		h.ackMu.Lock()
-		w.sent = time.Now() // per-attempt RTT baseline
-		h.ackMu.Unlock()
-		if err := h.sendWindowFlags(inv, wid, seq, winData, specs, flags); err != nil {
-			return err
-		}
-		t := time.NewTimer(timeout) // armed at send time
-		select {
-		case <-w.ch:
-			t.Stop()
-			return nil
-		case <-t.C:
-		}
-		if attempt == opts.Retries {
-			break
-		}
-		next := time.Duration(float64(timeout) * opts.BackoffFactor)
-		if next > opts.MaxBackoff {
-			next = opts.MaxBackoff
-		}
-		if opts.Jitter > 0 {
-			next += time.Duration((rand.Float64()*2 - 1) * opts.Jitter * float64(next))
-		}
-		timeout = next
-		h.met.backoffUs.Observe(float64(timeout) / float64(time.Microsecond))
-	}
-	return fmt.Errorf("runtime: window %d of invocation %d was never acknowledged after %d attempts (consumed on-path, or the destination is unreachable)",
-		seq, wid, opts.Retries+1)
-}
-
-// sendWindowFlags is sendWindow with extra NCP flags: the shared scratch
-// path enforces the reliable-windows-fit-one-packet rule when
-// FlagAckRequest is set.
-func (h *Host) sendWindowFlags(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec, flags uint8) error {
-	sc := h.getScratch()
-	defer h.putScratch(sc)
-	return h.sendWindowScratch(inv, wid, seq, winData, specs, flags, sc)
-}
-
 // handleAck consumes an acknowledgment for one of our reliable windows.
-// Late acks (the window already completed or exhausted its retries) and
-// duplicate acks find no registered wait: they are counted and ignored,
-// never double-closing the wait channel or skewing ack_rtt_us.
+// Late acks (the window already completed or exhausted its retries, or
+// its call returned) and duplicate acks find no registered wait: they are
+// counted and ignored, never waking a sender loop or skewing ack_rtt_us.
 func (h *Host) handleAck(hd *ncp.Header) {
 	k := ackKey{hd.Wid, hd.WindowSeq}
 	h.ackMu.Lock()
@@ -277,6 +355,11 @@ func (h *Host) handleAck(hd *ncp.Header) {
 	if ok {
 		delete(h.acks, k)
 		sent = w.sent
+		w.acked = true
+		select { // wake the sender loop; a pending token already will
+		case w.wake <- struct{}{}:
+		default:
+		}
 	}
 	h.ackMu.Unlock()
 	if !ok {
@@ -284,7 +367,6 @@ func (h *Host) handleAck(hd *ncp.Header) {
 		return
 	}
 	h.met.ackRtt.Observe(float64(time.Since(sent)) / float64(time.Microsecond))
-	close(w.ch)
 }
 
 // sendAck emits an acknowledgment for a received reliable window. Called

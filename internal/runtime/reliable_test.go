@@ -218,6 +218,148 @@ func TestReliableErrorAggregation(t *testing.T) {
 	}
 }
 
+// TestOutReliableAllocsFlat: a one-window OutReliable allocates about
+// what Out does on the same pair. The sender loop runs on the caller's
+// goroutine with pooled call state, so what it adds is the receiver's ack
+// packet (its bytes and envelope); the bound is relative, so it does not
+// drift with the machine.
+func TestOutReliableAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	_, sender, recv, _ := reliablePair(t, 4, nil)
+	inv := Invocation{Kernel: "k", Dest: "b"}
+	data := [][]uint64{make([]uint64, 4)}
+	opts := ReliableOptions{Timeout: time.Second}
+	measure := func(send func() error) float64 {
+		for i := 0; i < 8; i++ { // warm the pools
+			if err := send(); err != nil {
+				t.Fatal(err)
+			}
+			<-recv.inbox
+		}
+		return testing.AllocsPerRun(200, func() {
+			if err := send(); err != nil {
+				t.Fatal(err)
+			}
+			<-recv.inbox
+		})
+	}
+	out := measure(func() error { return sender.Out(inv, data) })
+	rel := measure(func() error { return sender.OutReliable(inv, data, opts) })
+	t.Logf("allocs per one-window call: Out %.1f, OutReliable %.1f", out, rel)
+	if rel > out+2 {
+		t.Errorf("one-window OutReliable allocates %.1f, Out %.1f: want at most Out+2", rel, out)
+	}
+}
+
+// TestLateAckDoesNotReachNextCall: acks for a call that already returned
+// are stale — counted, not recorded as RTTs — and neither wake nor
+// complete the next call, which reuses the pooled call state.
+func TestLateAckDoesNotReachNextCall(t *testing.T) {
+	lb := newLoopback(t)
+	cfg := testConfig(t, 4)
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	sender := NewHost("a", 1, 0, cfg, lb, map[string]string{"void": "s1"})
+	lb.nodes["a"] = sender
+	ack := func(wid uint32) {
+		pkt, _ := ncp.Marshal(&ncp.Header{Flags: ncp.FlagAck, Wid: wid, WindowSeq: 0, FragCount: 1}, nil, nil)
+		sender.Receive(lb, &netsim.Packet{Dst: "a", Data: pkt}, "s1")
+	}
+	call := func() chan error {
+		done := make(chan error, 1)
+		sent := lb.sentCount()
+		go func() {
+			done <- sender.OutReliable(Invocation{Kernel: "k", Dest: "void"},
+				[][]uint64{make([]uint64, 4)}, ReliableOptions{Timeout: time.Minute, Retries: 1})
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for lb.sentCount() == sent && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return done
+	}
+
+	first := call() // wid 1
+	ack(1)
+	if err := <-first; err != nil {
+		t.Fatalf("acked call: %v", err)
+	}
+	second := call() // wid 2
+	ack(1)
+	ack(1)
+	select {
+	case err := <-second:
+		t.Fatalf("a late ack of the previous call completed the next one (err=%v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["host.a.stale_acks"]; got != 2 {
+		t.Errorf("stale_acks = %d, want 2", got)
+	}
+	if got := snap.Gauges["host.a.reliable_inflight"]; got != 1 {
+		t.Errorf("reliable_inflight = %d while the second call waits, want 1", got)
+	}
+	ack(2)
+	if err := <-second; err != nil {
+		t.Fatalf("second call: %v", err)
+	}
+	snap = reg.Snapshot()
+	if got := snap.Histograms["host.a.ack_rtt_us"].Count; got != 2 {
+		t.Errorf("ack_rtt_us observed %d times, want 2 (one per live ack)", got)
+	}
+	if got := snap.Counters["host.a.retransmits"]; got != 0 {
+		t.Errorf("retransmits = %d, want 0", got)
+	}
+}
+
+// TestReliableSelectiveRepeat: with 8 windows in flight, losing only seq
+// 3's first attempt retransmits seq 3, once its timeout expires, and
+// nothing else.
+func TestReliableSelectiveRepeat(t *testing.T) {
+	lb, sender, recv, reg := reliablePair(t, 4, nil)
+	attempts := map[uint32]int{}
+	lb.drop = func(pkt *netsim.Packet) bool {
+		hd, _, _, _, err := ncp.DecodeFull(pkt.Data)
+		if err != nil || hd.Flags&ncp.FlagAck != 0 {
+			return false
+		}
+		attempts[hd.WindowSeq]++
+		return hd.WindowSeq == 3 && attempts[3] == 1
+	}
+	const windows, timeout = 16, 5 * time.Millisecond
+	start := time.Now()
+	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, [][]uint64{make([]uint64, windows*4)},
+		ReliableOptions{Timeout: timeout, Retries: 3, Window: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout {
+		t.Errorf("call returned after %v: seq 3 was resent before its %v timeout", elapsed, timeout)
+	}
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	for seq := uint32(0); seq < windows; seq++ {
+		want := 1
+		if seq == 3 {
+			want = 2
+		}
+		if attempts[seq] != want {
+			t.Errorf("window %d sent %d times, want %d", seq, attempts[seq], want)
+		}
+	}
+	if recv.Pending() != windows {
+		t.Errorf("receiver holds %d windows, want %d", recv.Pending(), windows)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["host.a.retransmits"]; got != 1 {
+		t.Errorf("retransmits = %d, want 1", got)
+	}
+	if got := snap.Histograms["host.a.backoff_us"].Count; got != 1 {
+		t.Errorf("backoff_us observed %d times, want 1", got)
+	}
+}
+
 // TestDupGuardEvictionAllocsFlat: the ring-buffer FIFO must hold
 // steady-state evictions allocation-free (the former re-slice eviction
 // kept growing the backing array between reallocations).

@@ -238,6 +238,7 @@ func NewHost(label string, id, role uint32, cfg AppConfig, send netsim.Sender, r
 		met:       newHostMetrics(reg, cfg.MetricsPrefix+"host."+label+"."),
 		inbox:     make(chan *RecvWindow, inboxCap),
 		inKernels: map[string]*ir.Func{},
+		acks:      map[ackKey]*ackWait{},
 	}
 	for i := range h.shards {
 		h.shards[i].frags = map[fragKey]*fragBuf{}
@@ -314,8 +315,9 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 		}
 	}
 	sh := h.shardFor(hd.Sender)
+	var ackBuf [1]ncp.Header // a single window's ack stays on the stack
 	sh.mu.Lock()
-	acks := h.receiveLocked(sh, d)
+	acks := h.receiveLocked(sh, d, ackBuf[:0])
 	sh.mu.Unlock()
 	// Acks are emitted outside the shard lock (transmit can block on a
 	// congested fabric) and only for windows that were enqueued or are
@@ -327,29 +329,31 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 }
 
 // receiveLocked dispatches one decoded packet. Caller holds the shard
-// lock. The returned headers, if any, are reliable windows to
-// acknowledge (one per sub-window for batched packets).
-func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
+// lock. It appends to acks the headers of reliable windows to
+// acknowledge (one per sub-window for batched packets) and returns it.
+func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded, acks []ncp.Header) []ncp.Header {
 	hd := &d.Header
 	payload := d.Payload
 	wantAck := hd.Flags&ncp.FlagAckRequest != 0
-	if hd.FragCount <= 1 && hd.BatchCount > 1 {
-		// Multi-window packet reaching a host without on-path unbatching:
-		// split into individual windows. Each sub-window gets its own
-		// user/hops copies (consumers own their RecvWindow). Reliable
-		// batches are acknowledged and duplicate-guarded per sub-window —
-		// a retransmitted batch re-acks every sub-window but re-enqueues
-		// none.
-		if len(payload)%int(hd.BatchCount) != 0 {
+	if hd.FragCount <= 1 {
+		// A single-packet window, or a multi-window packet reaching a host
+		// without on-path unbatching, split into individual windows. Each
+		// sub-window gets its own user/hops copies (consumers own their
+		// RecvWindow). Reliable windows are acknowledged and duplicate-
+		// guarded one by one: a retransmit is re-acked but enqueued only
+		// once, and a window the inbox drops is neither recorded nor acked.
+		n := max(int(hd.BatchCount), 1)
+		if len(payload)%n != 0 {
 			h.met.decodeErrors.Inc()
-			return nil // payload does not split evenly across the batch
+			return acks // payload does not split evenly across the batch
 		}
-		var acks []ncp.Header
-		per := len(payload) / int(hd.BatchCount)
-		for k := 0; k < int(hd.BatchCount); k++ {
+		per := len(payload) / n
+		for k := 0; k < n; k++ {
 			sub := *hd
-			sub.BatchCount = 1
-			sub.WindowSeq = hd.WindowSeq + uint32(k)
+			if n > 1 {
+				sub.BatchCount = 1
+				sub.WindowSeq += uint32(k)
+			}
 			part := payload[k*per : (k+1)*per]
 			if !wantAck {
 				h.enqueue(ownedWindow(&sub, d.User, d.Hops, part))
@@ -368,25 +372,6 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 		}
 		return acks
 	}
-	if hd.FragCount <= 1 {
-		if !wantAck {
-			h.enqueue(ownedWindow(hd, d.User, d.Hops, payload))
-			return nil
-		}
-		// Reliable window: retransmits of an already-delivered window are
-		// re-acknowledged but enqueued only once; a window the inbox
-		// drops is neither recorded nor acked.
-		key := fragKey{hd.Sender, hd.Wid, hd.WindowSeq}
-		if sh.done[key] {
-			h.met.dupsDropped.Inc()
-			return []ncp.Header{*hd}
-		}
-		if !h.enqueue(ownedWindow(hd, d.User, d.Hops, payload)) {
-			return nil
-		}
-		h.markDone(sh, key)
-		return []ncp.Header{*hd}
-	}
 	// Multi-packet window: reassemble (hosts only, §6). Fragments of an
 	// already-delivered window (retransmits, fabric duplication) are
 	// dropped by the completed-window record.
@@ -394,9 +379,9 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 	if sh.done[key] {
 		h.met.dupsDropped.Inc()
 		if wantAck {
-			return []ncp.Header{*hd}
+			acks = append(acks, *hd)
 		}
-		return nil
+		return acks
 	}
 	fb := sh.frags[key]
 	if fb == nil {
@@ -413,7 +398,7 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 	}
 	if int(hd.FragIdx) >= len(fb.parts) || fb.parts[hd.FragIdx] != nil {
 		h.met.dupsDropped.Inc()
-		return nil // duplicate or malformed fragment
+		return acks // duplicate or malformed fragment
 	}
 	fb.parts[hd.FragIdx] = append([]byte(nil), payload...)
 	fb.have++
@@ -434,11 +419,11 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 		if h.enqueue(&RecvWindow{Header: &hd2, User: fb.user, Raw: full, Trace: fb.hops}) {
 			h.markDone(sh, key)
 			if wantAck {
-				return []ncp.Header{*hd}
+				acks = append(acks, *hd)
 			}
 		}
 	}
-	return nil
+	return acks
 }
 
 // ownedWindow copies a decoded window out of pooled decode scratch into
@@ -724,7 +709,7 @@ func (h *Host) Out(inv Invocation, arrays [][]uint64) error {
 	if windows == 0 {
 		return nil
 	}
-	wid := h.nextWid()
+	wid := h.NewWid()
 	batch := h.effectiveBatch(specs)
 	units := windows // one unit = one packet's worth of windows
 	if batch > 1 {
@@ -790,21 +775,11 @@ func (h *Host) outRange(inv Invocation, wid uint32, arrays [][]uint64, specs []n
 }
 
 func (h *Host) outRangeSend(inv Invocation, wid uint32, arrays [][]uint64, specs []ncp.ParamSpec, lo, hi, batch, windows int, sc *sendScratch) error {
-	W := h.cfg.WindowLen
 	winData := make([][]uint64, len(specs))
-	winAt := func(seq int) [][]uint64 {
-		for pi, sp := range specs {
-			if sp.Elems == W {
-				winData[pi] = arrays[pi][seq*W : (seq+1)*W]
-			} else {
-				winData[pi] = arrays[pi][seq : seq+1]
-			}
-		}
-		return winData
-	}
 	if batch <= 1 {
 		for seq := lo; seq < hi; seq++ {
-			if err := h.sendWindowScratch(inv, wid, uint32(seq), winAt(seq), specs, 0, sc); err != nil {
+			h.fillWindow(winData, arrays, specs, seq)
+			if err := h.sendWindowScratch(inv, wid, uint32(seq), winData, specs, 0, sc); err != nil {
 				return err
 			}
 		}
@@ -819,46 +794,31 @@ func (h *Host) outRangeSend(inv Invocation, wid uint32, arrays [][]uint64, specs
 		payload := sc.payload[:0]
 		var err error
 		for k := 0; k < n; k++ {
-			payload, err = ncp.AppendPayload(payload, winAt(seq+k), specs)
+			h.fillWindow(winData, arrays, specs, seq+k)
+			payload, err = ncp.AppendPayload(payload, winData, specs)
 			if err != nil {
 				return err
 			}
 		}
 		sc.payload = payload
-		if err := h.sendBatch(inv, wid, uint32(seq), uint8(n), payload, sc); err != nil {
+		if err := h.sendPayload(inv, wid, uint32(seq), uint8(n), 0, payload, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendBatch transmits one multi-window packet.
-func (h *Host) sendBatch(inv Invocation, wid, firstSeq uint32, count uint8, payload []byte, sc *sendScratch) error {
-	kid, ok := h.cfg.KernelIDs[inv.Kernel]
-	if !ok {
-		return fmt.Errorf("runtime: kernel %q has no id", inv.Kernel)
+// fillWindow points winData at window seq of arrays: a window-length
+// slice of each pointer parameter, one element of each scalar one.
+func (h *Host) fillWindow(winData, arrays [][]uint64, specs []ncp.ParamSpec, seq int) {
+	W := h.cfg.WindowLen
+	for pi, sp := range specs {
+		if sp.Elems == W {
+			winData[pi] = arrays[pi][seq*W : (seq+1)*W]
+		} else {
+			winData[pi] = arrays[pi][seq : seq+1]
+		}
 	}
-	hdr := ncp.Header{
-		KernelID:   kid,
-		WindowSeq:  firstSeq,
-		WindowLen:  uint16(h.cfg.WindowLen),
-		Sender:     h.id,
-		FromRole:   h.role,
-		Wid:        wid,
-		FragIdx:    0,
-		FragCount:  1,
-		BatchCount: count,
-	}
-	pkt, err := ncp.MarshalHops(&hdr, h.userVals(inv, sc), h.traceHops(int(count), kid), payload)
-	if err != nil {
-		return err
-	}
-	if err := h.transmitSc(inv.Dest, pkt, sc); err != nil {
-		return err
-	}
-	sc.windows += uint64(count)
-	sc.packets++
-	return nil
 }
 
 // traceHops advances the sent-window counter by count and, when trace
@@ -919,13 +879,14 @@ func (h *Host) OutWindow(inv Invocation, wid, seq uint32, winData [][]uint64) er
 	if err := h.checkUserFields(inv); err != nil {
 		return err
 	}
-	return h.sendWindow(inv, wid, seq, winData, specs)
+	sc := h.getScratch()
+	defer h.putScratch(sc)
+	return h.sendWindowScratch(inv, wid, seq, winData, specs, 0, sc)
 }
 
-// NewWid allocates a fresh invocation id for OutWindow sequences.
-func (h *Host) NewWid() uint32 { return h.nextWid() }
-
-func (h *Host) nextWid() uint32 { return h.widSeq.Add(1) }
+// NewWid allocates a fresh invocation id (Out and OutReliable take one
+// per call; OutWindow callers take one per window sequence).
+func (h *Host) NewWid() uint32 { return h.widSeq.Add(1) }
 
 func (h *Host) outSpecs(kernel string) ([]ncp.ParamSpec, error) {
 	specs, ok := h.cfg.OutSpecs[kernel]
@@ -935,23 +896,9 @@ func (h *Host) outSpecs(kernel string) ([]ncp.ParamSpec, error) {
 	return specs, nil
 }
 
-// sendWindow transmits one window with fresh pooled scratch and
-// immediate metric flush (the one-shot path; hot loops hold a scratch
-// across windows via sendWindowScratch).
-func (h *Host) sendWindow(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec) error {
-	sc := h.getScratch()
-	defer h.putScratch(sc)
-	return h.sendWindowScratch(inv, wid, seq, winData, specs, 0, sc)
-}
-
 // sendWindowScratch encodes and transmits one window using the given
-// scratch. Oversized payloads fragment at the MTU — except reliable
-// windows (FlagAckRequest), which must fit one packet.
+// scratch (hot loops hold one scratch across windows).
 func (h *Host) sendWindowScratch(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec, flags uint8, sc *sendScratch) error {
-	kid, ok := h.cfg.KernelIDs[inv.Kernel]
-	if !ok {
-		return fmt.Errorf("runtime: kernel %q has no id", inv.Kernel)
-	}
 	for pi, sp := range specs {
 		if len(winData[pi]) != sp.Elems {
 			return fmt.Errorf("runtime: window array %d has %d elements, kernel wants %d", pi, len(winData[pi]), sp.Elems)
@@ -962,49 +909,43 @@ func (h *Host) sendWindowScratch(inv Invocation, wid, seq uint32, winData [][]ui
 		return err
 	}
 	sc.payload = payload
-	userVals := h.userVals(inv, sc)
+	return h.sendPayload(inv, wid, seq, 0, flags, payload, sc)
+}
+
+// sendPayload transmits an encoded payload starting at window seq: one
+// packet (the §6 prototype scope) — carrying count consecutive windows
+// when count > 1 (§4.2) — or, for one window over the MTU, fragments.
+// Reliable windows (FlagAckRequest) must fit one packet.
+func (h *Host) sendPayload(inv Invocation, wid, seq uint32, count, flags uint8, payload []byte, sc *sendScratch) error {
+	kid, ok := h.cfg.KernelIDs[inv.Kernel]
+	if !ok {
+		return fmt.Errorf("runtime: kernel %q has no id", inv.Kernel)
+	}
+	frags := 1
+	if len(payload) > h.cfg.MTU {
+		if flags&ncp.FlagAckRequest != 0 {
+			return fmt.Errorf("runtime: reliable windows must fit one packet (payload %dB > MTU %dB)", len(payload), h.cfg.MTU)
+		}
+		if frags = (len(payload) + h.cfg.MTU - 1) / h.cfg.MTU; frags > 0xFFFF {
+			return fmt.Errorf("runtime: window needs %d fragments", frags)
+		}
+	}
 	hdr := ncp.Header{
-		Flags:     flags,
-		KernelID:  kid,
-		WindowSeq: seq,
-		WindowLen: uint16(h.cfg.WindowLen),
-		Sender:    h.id,
-		FromRole:  h.role,
-		Wid:       wid,
+		Flags:      flags,
+		KernelID:   kid,
+		WindowSeq:  seq,
+		WindowLen:  uint16(h.cfg.WindowLen),
+		Sender:     h.id,
+		FromRole:   h.role,
+		Wid:        wid,
+		BatchCount: count,
 	}
-
-	hops := h.traceHops(1, kid)
-
-	// Single-packet fast path (the §6 prototype scope), else fragment.
-	if len(payload) <= h.cfg.MTU {
-		hdr.FragIdx, hdr.FragCount = 0, 1
-		pkt, err := ncp.MarshalHops(&hdr, userVals, hops, payload)
-		if err != nil {
-			return err
-		}
-		if err := h.transmitSc(inv.Dest, pkt, sc); err != nil {
-			return err
-		}
-		sc.windows++
-		sc.packets++
-		return nil
-	}
-	if flags&ncp.FlagAckRequest != 0 {
-		return fmt.Errorf("runtime: reliable windows must fit one packet (payload %dB > MTU %dB)", len(payload), h.cfg.MTU)
-	}
-	frags := (len(payload) + h.cfg.MTU - 1) / h.cfg.MTU
-	if frags > 0xFFFF {
-		return fmt.Errorf("runtime: window needs %d fragments", frags)
-	}
+	userVals := h.userVals(inv, sc)
+	hops := h.traceHops(int(count), kid)
 	for i := 0; i < frags; i++ {
 		lo := i * h.cfg.MTU
-		hi := lo + h.cfg.MTU
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		fh := hdr
-		fh.FragIdx, fh.FragCount = uint16(i), uint16(frags)
-		pkt, err := ncp.MarshalHops(&fh, userVals, hops, payload[lo:hi])
+		hdr.FragIdx, hdr.FragCount = uint16(i), uint16(frags)
+		pkt, err := ncp.MarshalHops(&hdr, userVals, hops, payload[lo:min(lo+h.cfg.MTU, len(payload))])
 		if err != nil {
 			return err
 		}
@@ -1013,7 +954,7 @@ func (h *Host) sendWindowScratch(inv Invocation, wid, seq uint32, winData [][]ui
 		}
 		sc.packets++
 	}
-	sc.windows++
+	sc.windows += uint64(max(count, 1))
 	return nil
 }
 
@@ -1067,10 +1008,10 @@ func (h *Host) transmit(dest string, data []byte) error {
 }
 
 // transmitSc is transmit with scratch-local send batching: when the
-// scratch carries a batch transport (outRange set sc.bs), the packet
-// queues and leaves with the next SendBatch group. Reliable traffic
-// never queues — only outRange enables sc.bs, and it sends plain
-// windows; the retransmit/ack paths go through transmit directly.
+// scratch carries a batch transport (outRange and OutReliable's sender
+// loop set sc.bs), the packet queues and leaves with the next SendBatch
+// group — a reliable sweep's first sends and retransmits leave together.
+// Acks go through transmit directly.
 func (h *Host) transmitSc(dest string, data []byte, sc *sendScratch) error {
 	if sc.bs == nil {
 		return h.transmit(dest, data)
@@ -1119,24 +1060,21 @@ var ErrTimeout = fmt.Errorf("runtime: timed out waiting for a window")
 // any incoming kernel — for consumers that only inspect headers, traces,
 // or raw payloads. A zero timeout waits forever.
 func (h *Host) Recv(timeout time.Duration) (*RecvWindow, error) {
+	var expired <-chan time.Time // nil: never fires
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
-		select {
-		case w, open := <-h.inbox:
-			if !open {
-				return nil, ErrClosed
-			}
-			return w, nil
-		case <-t.C:
-			return nil, ErrTimeout
+		expired = t.C
+	}
+	select {
+	case w, open := <-h.inbox:
+		if !open {
+			return nil, ErrClosed
 		}
+		return w, nil
+	case <-expired:
+		return nil, ErrTimeout
 	}
-	w, open := <-h.inbox
-	if !open {
-		return nil, ErrClosed
-	}
-	return w, nil
 }
 
 // In blocks until one window arrives, executes the named incoming kernel
@@ -1155,26 +1093,6 @@ func (h *Host) In(kernel string, ext [][]uint64, timeout time.Duration) (*RecvWi
 		return rw, err
 	}
 	return rw, nil
-}
-
-// TryIn is the non-blocking variant of In.
-func (h *Host) TryIn(kernel string, ext [][]uint64) (*RecvWindow, bool, error) {
-	f, ok := h.inKernels[kernel]
-	if !ok {
-		return nil, false, fmt.Errorf("runtime: unknown incoming kernel %q", kernel)
-	}
-	select {
-	case rw, open := <-h.inbox:
-		if !open {
-			return nil, false, ErrClosed
-		}
-		if err := h.runInKernel(f, rw, ext); err != nil {
-			return rw, true, err
-		}
-		return rw, true, nil
-	default:
-		return nil, false, nil
-	}
 }
 
 // runInKernel decodes the window for the kernel's signature and executes

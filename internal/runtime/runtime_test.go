@@ -23,6 +23,9 @@ type loopbackSender struct {
 	mu    sync.Mutex
 	nodes map[string]netsim.Node
 	sent  []*netsim.Packet
+	// drop, when set, loses the packets it returns true for (called
+	// under mu, after the packet is recorded in sent).
+	drop func(*netsim.Packet) bool
 }
 
 func newLoopback(t testing.TB) *loopbackSender {
@@ -39,6 +42,9 @@ func (l *loopbackSender) Send(from, to string, pkt *netsim.Packet) error {
 	l.mu.Lock()
 	l.sent = append(l.sent, pkt)
 	node := l.nodes[pkt.Dst] // deliver straight to the destination
+	if l.drop != nil && l.drop(pkt) {
+		node = nil
+	}
 	l.mu.Unlock()
 	if node != nil {
 		node.Receive(l, pkt, from)
@@ -103,7 +109,7 @@ func TestOutSplitsArrays(t *testing.T) {
 	lb.mu.Unlock()
 	seen := map[uint32]int{}
 	for _, pkt := range pkts {
-		hd, _, _, err := ncp.Decode(pkt.Data)
+		hd, _, _, _, err := ncp.DecodeFull(pkt.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +143,7 @@ func TestOutSerialOrderDeterministic(t *testing.T) {
 		t.Fatalf("sent %d packets, want 8", len(lb.sent))
 	}
 	for i, pkt := range lb.sent {
-		hd, _, _, err := ncp.Decode(pkt.Data)
+		hd, _, _, _, err := ncp.DecodeFull(pkt.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,23 +310,32 @@ func TestGarbageTrafficIgnored(t *testing.T) {
 	}
 }
 
-func TestTryIn(t *testing.T) {
+// TestInAfterPending: Pending reports queued windows without consuming
+// them, In times out on an empty inbox, then runs the incoming kernel on
+// a queued window.
+func TestInAfterPending(t *testing.T) {
 	lb := newLoopback(t)
 	h := NewHost("b", 2, 1, testConfig(t, 4), lb, map[string]string{})
-	if _, got, err := h.TryIn("sink", [][]uint64{make([]uint64, 4)}); got || err != nil {
-		t.Fatalf("empty TryIn: got=%v err=%v", got, err)
+	if h.Pending() != 0 {
+		t.Fatalf("fresh host has %d pending windows", h.Pending())
+	}
+	if _, err := h.In("sink", [][]uint64{make([]uint64, 4)}, time.Millisecond); err != ErrTimeout {
+		t.Fatalf("In on an empty inbox: %v, want ErrTimeout", err)
 	}
 	payload, _ := ncp.EncodePayload([][]uint64{{1, 2, 3, 4}}, []ncp.ParamSpec{{Elems: 4, Bytes: 4, Signed: true}})
 	pkt, _ := ncp.Marshal(&ncp.Header{KernelID: 1, WindowLen: 4, FragCount: 1}, nil, payload)
 	h.Receive(lb, &netsim.Packet{Dst: "b", Data: pkt}, "s1")
+	if h.Pending() != 1 {
+		t.Fatalf("Pending = %d after delivery, want 1", h.Pending())
+	}
 	out := make([]uint64, 4)
-	if _, got, err := h.TryIn("sink", [][]uint64{out}); !got || err != nil {
-		t.Fatalf("TryIn after delivery: got=%v err=%v", got, err)
+	if _, err := h.In("sink", [][]uint64{out}, time.Second); err != nil {
+		t.Fatalf("In after delivery: %v", err)
 	}
 	if out[2] != 3 {
-		t.Errorf("TryIn kernel did not run: %v", out)
+		t.Errorf("In kernel did not run: %v", out)
 	}
-	if _, _, err := h.TryIn("ghost", nil); err == nil {
+	if _, err := h.In("ghost", nil, time.Millisecond); err == nil {
 		t.Error("unknown kernel must error")
 	}
 }
