@@ -69,7 +69,6 @@ func main() {
 	relRetries := flag.Int("rel-retries", 0, "reliable transport: retransmits per window (0 = default 5)")
 	workers := flag.Int("workers", 0, "host send workers for Out (0 = GOMAXPROCS, 1 = serial deterministic order)")
 	inboxCap := flag.Int("inbox-cap", 0, "fabric per-node inbox capacity (0 = default 4096; full inboxes drop+count)")
-	drainBatch := flag.Int("drain-batch", 0, "fabric packets drained per inbox wakeup (0 = default 64; 1 = per-packet delivery)")
 	serve := flag.String("serve", "", "serve /metrics, /snapshot, /trace, and pprof on this address (e.g. :9090) and keep driving windows until interrupted")
 	fattree := flag.Int("fattree", 0, "deploy onto a generated k-ary fat-tree physical network via the placement engine (overlay host labels must name fat-tree hosts; implies end-to-end mode)")
 	flag.Parse()
@@ -85,10 +84,9 @@ func main() {
 	must(err)
 
 	art, err := ncl.Build(string(nclSrc), string(andSrc), ncl.BuildOptions{
-		WindowLen:        *w,
-		SendWorkers:      *workers,
-		FabricInboxCap:   *inboxCap,
-		FabricDrainBatch: *drainBatch,
+		WindowLen:      *w,
+		SendWorkers:    *workers,
+		FabricInboxCap: *inboxCap,
 	})
 	must(err)
 

@@ -12,18 +12,19 @@ import (
 	"ncl/internal/pisa"
 )
 
-// E15Fabric measures what the batched ring-buffer fabric buys over the
-// old one-packet-per-wakeup delivery (DESIGN.md §5.10), at three layers:
+// E15Fabric measures what batching buys on the fabric (DESIGN.md §5.10),
+// at three layers:
 //
-//   - transport: raw fabric throughput host→host, per-packet Send against
-//     drain-batch=1 vs SendBatch against the default drain batch — the
-//     ring amortizes the wakeup, the virtual-clock stamp, the link
-//     counters, and the inbox lock over whole bursts;
+//   - transport: raw fabric throughput host→host, one Send call per
+//     packet vs SendBatch calls of 64 (both against the fixed drain of
+//     DefaultDrainBatch) — a batch amortizes the stopped check, the
+//     virtual-clock stamp, the link counters, and the inbox lock and
+//     wakeup over the whole run;
 //   - exec: the PISA device alone, ExecWindowBatch with batches of one
 //     vs of 64: the batch loads the plan once and takes the kernel's
 //     whole register/table lock set once;
 //   - switch e2e: NCP windows host→switch→host through the full decode →
-//     exec → repack → forward pipeline in both modes.
+//     exec → repack → forward pipeline, sent both ways.
 //
 // Speedups are per layer (each batched row against its per-packet row).
 func E15Fabric() (*Table, error) {
@@ -84,14 +85,13 @@ func E15Fabric() (*Table, error) {
 	}
 
 	// --- Transport: host→host over the fabric, counting sink.
-	runTransport := func(drain, windows int, batched bool) (time.Duration, float64, error) {
+	runTransport := func(windows int, batched bool) (time.Duration, float64, error) {
 		net, err := and.Parse("host a\nhost b\nlink a b")
 		if err != nil {
 			return 0, 0, err
 		}
 		fab := netsim.New(net, netsim.Faults{})
 		fab.SetInboxCap(windows + chunk)
-		fab.SetDrainBatch(drain)
 		sink := &countNode{label: "b"}
 		if err := fab.Attach(&countNode{label: "a"}); err != nil {
 			return 0, 0, err
@@ -135,14 +135,14 @@ func E15Fabric() (*Table, error) {
 		return wall, float64(after.Mallocs-before.Mallocs) / float64(windows), nil
 	}
 	ppWall, ppAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
-		return runTransport(1, transport, false)
+		return runTransport(transport, false)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E15 transport per-packet: %w", err)
 	}
-	addRow("transport per-packet (drain=1)", transport, ppWall, ppWall, ppAllocs)
+	addRow("transport Send per packet", transport, ppWall, ppWall, ppAllocs)
 	bWall, bAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
-		return runTransport(netsim.DefaultDrainBatch, transport, true)
+		return runTransport(transport, true)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E15 transport batched: %w", err)
@@ -211,15 +211,14 @@ func E15Fabric() (*Table, error) {
 	addRow(fmt.Sprintf("exec batched (x%d)", chunk), execWins, batchWall, slotWall, batchAllocs)
 
 	// --- Switch end to end: NCP windows through decode → exec → repack →
-	// forward, bursts of one (drain=1) vs drained bursts of 64.
-	runE2E := func(drain, windows int, batched bool) (time.Duration, float64, error) {
+	// forward, sent one Send call per packet vs SendBatch calls of 64.
+	runE2E := func(windows int, batched bool) (time.Duration, float64, error) {
 		net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 		if err != nil {
 			return 0, 0, err
 		}
 		fab := netsim.New(net, netsim.Faults{})
 		fab.SetInboxCap(2*windows + chunk)
-		fab.SetDrainBatch(drain)
 		sn := netsim.NewSwitchNode("s1", art.Target)
 		if err := sn.Install(prog, prog.LocID); err != nil {
 			return 0, 0, err
@@ -271,14 +270,14 @@ func E15Fabric() (*Table, error) {
 		return wall, float64(after.Mallocs-before.Mallocs) / float64(windows), nil
 	}
 	eppWall, eppAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
-		return runE2E(1, e2e, false)
+		return runE2E(e2e, false)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E15 e2e per-packet: %w", err)
 	}
-	addRow("switch e2e per-packet (drain=1)", e2e, eppWall, eppWall, eppAllocs)
+	addRow("switch e2e Send per packet", e2e, eppWall, eppWall, eppAllocs)
 	ebWall, ebAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
-		return runE2E(netsim.DefaultDrainBatch, e2e, true)
+		return runE2E(e2e, true)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E15 e2e batched: %w", err)

@@ -118,7 +118,6 @@ func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, f
 	fab := netsim.New(net, faults)
 	fab.SetObs(reg)
 	fab.SetInboxCap(cfg.FabricInboxCap)
-	fab.SetDrainBatch(cfg.FabricDrainBatch)
 	dep = &Deployment{
 		Artifact:   a,
 		Fabric:     fab,

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,7 +93,7 @@ func TestDeliverHeldFullInboxCountsDrop(t *testing.T) {
 	fab.Attach(b)
 	// Not started: nothing drains, so the one-slot inbox stays full.
 	inbox := fab.inboxes["b"]
-	if !inbox.push(delivery{pkt: &Packet{Data: []byte{9}}, from: "a"}) {
+	if inbox.pushPkts([]*Packet{{Data: []byte{9}}}, "a") != 1 {
 		t.Fatal("first push must fit")
 	}
 	st := fab.Stats("a", "b")
@@ -176,20 +177,25 @@ func TestSendBatchDeliveryAndOrder(t *testing.T) {
 // TestSendBatchDropAccountingParity: against a full inbox, SendBatch must
 // produce exactly the counters a loop of per-packet Sends produces —
 // every packet counted on Packets/Bytes, overflow counted on Dropped and
-// fabric.<label>.inbox_drops.
+// fabric.<label>.inbox_drops — on a perfect fabric and on a seeded
+// drop+dup fabric, where the queued packets must also come out in the
+// same order with the same bytes.
 func TestSendBatchDropAccountingParity(t *testing.T) {
-	run := func(t *testing.T, batched bool) (st *LinkStats, drops uint64) {
+	type result struct {
+		packets, bytes, dropped, inboxDrops uint64
+		order                               []byte
+	}
+	run := func(t *testing.T, faults Faults, inboxCap, n int, batched bool) result {
 		t.Helper()
-		fab := New(pairNet(t), Faults{})
+		fab := New(pairNet(t), faults)
 		reg := obs.NewRegistry()
 		fab.SetObs(reg)
-		fab.SetInboxCap(4)
+		fab.SetInboxCap(inboxCap)
 		a := &echoNode{label: "a"}
 		b := &echoNode{label: "b"}
 		fab.Attach(a)
 		fab.Attach(b)
 		// Not started: nothing drains, so exactly capacity packets fit.
-		const n = 10
 		var tos []string
 		var pkts []*Packet
 		for i := 0; i < n; i++ {
@@ -206,29 +212,164 @@ func TestSendBatchDropAccountingParity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return fab.Stats("a", "b"), reg.Counter("fabric.b.inbox_drops").Load()
+		st := fab.Stats("a", "b")
+		r := result{
+			packets:    st.Packets.Load(),
+			bytes:      st.Bytes.Load(),
+			dropped:    st.Dropped.Load(),
+			inboxDrops: reg.Counter("fabric.b.inbox_drops").Load(),
+		}
+		for _, d := range fab.inboxes["b"].drain(nil, inboxCap) {
+			r.order = append(r.order, d.pkt.Data[0])
+		}
+		return r
+	}
+	same := func(t *testing.T, b, s result) {
+		t.Helper()
+		if b.packets != s.packets || b.bytes != s.bytes || b.dropped != s.dropped ||
+			b.inboxDrops != s.inboxDrops || string(b.order) != string(s.order) {
+			t.Errorf("batched %+v != per-packet %+v", b, s)
+		}
 	}
 
-	bst, bdrops := run(t, true)
-	sst, sdrops := run(t, false)
-	if bst.Packets.Load() != sst.Packets.Load() ||
-		bst.Bytes.Load() != sst.Bytes.Load() ||
-		bst.Dropped.Load() != sst.Dropped.Load() ||
-		bdrops != sdrops {
-		t.Errorf("batched (%d pkts, %d bytes, %d dropped, %d inbox_drops) != per-packet (%d, %d, %d, %d)",
-			bst.Packets.Load(), bst.Bytes.Load(), bst.Dropped.Load(), bdrops,
-			sst.Packets.Load(), sst.Bytes.Load(), sst.Dropped.Load(), sdrops)
-	}
-	if bst.Dropped.Load() != 6 || bdrops != 6 {
-		t.Errorf("10 sends into a 4-slot undrained inbox: Dropped=%d inbox_drops=%d, want 6/6",
-			bst.Dropped.Load(), bdrops)
+	t.Run("perfect", func(t *testing.T) {
+		b := run(t, Faults{}, 4, 10, true)
+		same(t, b, run(t, Faults{}, 4, 10, false))
+		if b.dropped != 6 || b.inboxDrops != 6 {
+			t.Errorf("10 sends into a 4-slot undrained inbox: Dropped=%d inbox_drops=%d, want 6/6",
+				b.dropped, b.inboxDrops)
+		}
+	})
+	t.Run("seeded-drop-dup", func(t *testing.T) {
+		faults := Faults{DropProb: 0.2, DupProb: 0.3, Seed: 7}
+		b := run(t, faults, 24, 40, true)
+		same(t, b, run(t, faults, 24, 40, false))
+		// The seed must exercise every path the parity covers.
+		if b.dropped <= b.inboxDrops || b.inboxDrops == 0 || b.packets <= 40-(b.dropped-b.inboxDrops) {
+			t.Errorf("seed 7 missed a path: %d pkts, %d dropped, %d inbox_drops (want dice drops, dups and overflow)",
+				b.packets, b.dropped, b.inboxDrops)
+		}
+	})
+}
+
+// TestSinkSendLeavesVTime: a sink (NullNode) counts and discards its
+// traffic without a virtual-time stamp, through Send and SendBatch alike
+// — neither the makespan nor the packet's own timestamp moves.
+func TestSinkSendLeavesVTime(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		fab := New(pairNet(t), Faults{})
+		fab.Attach(&echoNode{label: "a"})
+		fab.Attach(NewNullNode("b"))
+		pkt := &Packet{Src: "a", Dst: "b", Data: make([]byte, 1000)}
+		var err error
+		if batched {
+			err = fab.SendBatch("a", []string{"b"}, []*Packet{pkt})
+		} else {
+			err = fab.Send("a", "b", pkt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fab.MakespanUs(); got != 0 {
+			t.Errorf("batched=%v: makespan %.3f after a sink delivery, want 0", batched, got)
+		}
+		if pkt.VTimeUs != 0 {
+			t.Errorf("batched=%v: sink packet stamped VTimeUs=%.3f, want 0", batched, pkt.VTimeUs)
+		}
+		if got := fab.Stats("a", "b").Packets.Load(); got != 1 {
+			t.Errorf("batched=%v: sink link counted %d packets, want 1", batched, got)
+		}
 	}
 }
 
-// TestSendBatchFaultFallback: a faulted fabric routes SendBatch through
-// per-packet Send so fault injection (here the reorder hold-back slot)
-// behaves exactly as with individual sends: last packet parked, the rest
-// delivered shifted by one slot.
+// TestSendBatchErrorStampsOnlyDelivered: a batch that fails on a
+// non-neighbor run leaves the virtual clock exactly where the runs
+// before it put it — the failing run and the runs after it are neither
+// delivered nor stamped.
+func TestSendBatchErrorStampsOnlyDelivered(t *testing.T) {
+	net, err := and.Parse("host a\nhost b\nhost c\nlink a b\nlink b c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := func() *Fabric {
+		fab := New(net, Faults{})
+		for _, l := range []string{"a", "b", "c"} {
+			fab.Attach(&echoNode{label: l})
+		}
+		return fab
+	}
+	pkt := func() *Packet { return &Packet{Src: "a", Dst: "b", Data: make([]byte, 1000)} }
+
+	alone := fabric()
+	if err := alone.Send("a", "b", pkt()); err != nil {
+		t.Fatal(err)
+	}
+	want := alone.MakespanUs()
+
+	fab := fabric()
+	pkts := []*Packet{pkt(), pkt(), pkt()}
+	if err := fab.SendBatch("a", []string{"b", "c", "b"}, pkts); err == nil {
+		t.Fatal("a batch with a non-neighbor run must fail")
+	}
+	if got := fab.MakespanUs(); got != want {
+		t.Errorf("makespan %.3f after the failed batch, want %.3f (the delivered run alone)", got, want)
+	}
+	if pkts[2].VTimeUs != 0 {
+		t.Errorf("undelivered packet after the error stamped VTimeUs=%.3f", pkts[2].VTimeUs)
+	}
+	if got := fab.InboxDepth("b"); got != 1 {
+		t.Errorf("b queued %d packets, want 1", got)
+	}
+}
+
+// countNode counts deliveries without allocating.
+type countNode struct {
+	label string
+	n     atomic.Uint64
+}
+
+func (c *countNode) Label() string                         { return c.label }
+func (c *countNode) Receive(_ Sender, _ *Packet, _ string) { c.n.Add(1) }
+
+// TestFabricSendAllocs pins the fold of Send into SendBatch: Send and a
+// one-packet SendBatch allocate nothing per call, on a perfect fabric and
+// on a seeded lossy one (the drop/dup/reorder dice run without a heap
+// object unless they duplicate or hold back a packet).
+func TestFabricSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; counts are meaningless")
+	}
+	for _, faults := range []Faults{{}, {DropProb: 0.01, Seed: 1}} {
+		fab := New(pairNet(t), faults)
+		b := &countNode{label: "b"}
+		fab.Attach(&countNode{label: "a"})
+		fab.Attach(b)
+		if err := fab.Start(); err != nil {
+			t.Fatal(err)
+		}
+		pkt := &Packet{Src: "a", Dst: "b", Data: make([]byte, 64)}
+		tos, pkts := []string{"b"}, []*Packet{pkt}
+		send := testing.AllocsPerRun(1000, func() {
+			if err := fab.Send("a", "b", pkt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		batch := testing.AllocsPerRun(1000, func() {
+			if err := fab.SendBatch("a", tos, pkts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fab.Stop()
+		if send != 0 || batch != 0 {
+			t.Errorf("faults %+v: Send %.2f allocs/call, SendBatch of one %.2f, want 0/0", faults, send, batch)
+		}
+	}
+}
+
+// TestSendBatchFaultFallback: a faulted fabric rolls SendBatch's fault
+// dice packet by packet, so fault injection (here the reorder hold-back
+// slot) behaves exactly as with individual sends: last packet parked, the
+// rest delivered shifted by one slot.
 func TestSendBatchFaultFallback(t *testing.T) {
 	fab := New(pairNet(t), Faults{ReorderProb: 1.0, ReorderHold: time.Hour, Seed: 1})
 	a := &echoNode{label: "a"}

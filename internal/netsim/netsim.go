@@ -100,8 +100,7 @@ type Fabric struct {
 	stopped  chan struct{}
 	stopOnce sync.Once
 
-	inboxCap   int // per-node inbox capacity (SetInboxCap before Attach)
-	drainBatch int // max packets per inbox drain (SetDrainBatch before Start)
+	inboxCap int // per-node inbox capacity (SetInboxCap before Attach)
 
 	faults  Faults
 	rngMu   sync.Mutex
@@ -173,7 +172,6 @@ func New(network *and.Network, faults Faults) *Fabric {
 		stats:      map[linkKey]*LinkStats{},
 		stopped:    make(chan struct{}),
 		inboxCap:   DefaultInboxCap,
-		drainBatch: DefaultDrainBatch,
 		faults:     faults,
 		rng:        rand.New(rand.NewSource(faults.Seed)),
 		pending:    map[linkKey]*heldPkt{},
@@ -211,9 +209,7 @@ func (f *Fabric) SetObs(r *obs.Registry) {
 const DefaultInboxCap = 4096
 
 // DefaultDrainBatch is how many queued packets an inbox goroutine takes
-// per wakeup unless SetDrainBatch overrides it. Larger batches amortize
-// the wakeup and the node hand-off; 1 degenerates to the old per-packet
-// channel behavior (useful as a benchmark baseline).
+// per wakeup: one wakeup and one node hand-off amortize over the burst.
 const DefaultDrainBatch = 64
 
 // SetInboxCap sets the per-node inbox capacity for nodes attached after
@@ -223,16 +219,6 @@ const DefaultDrainBatch = 64
 func (f *Fabric) SetInboxCap(n int) {
 	if n > 0 {
 		f.inboxCap = n
-	}
-}
-
-// SetDrainBatch bounds how many packets an inbox goroutine drains per
-// wakeup (call before Start; 0 keeps the default). Each drained batch is
-// handed to nodes implementing the batch receive path in one call; 1
-// delivers packet by packet.
-func (f *Fabric) SetDrainBatch(n int) {
-	if n > 0 {
-		f.drainBatch = n
 	}
 }
 
@@ -286,9 +272,9 @@ type batchReceiver interface {
 }
 
 // Start launches the inbox goroutines. Every AND node must be attached.
-// Each goroutine drains up to drainBatch packets per wakeup and hands
-// them to the node — in one receiveBatch call when the node supports it,
-// otherwise via per-packet Receive in arrival order.
+// Each goroutine drains up to DefaultDrainBatch packets per wakeup and
+// hands them to the node — in one receiveBatch call when the node
+// supports it, otherwise via per-packet Receive in arrival order.
 func (f *Fabric) Start() error {
 	for _, n := range f.net.Nodes {
 		if f.nodes[n.Label] == nil {
@@ -302,9 +288,9 @@ func (f *Fabric) Start() error {
 		go func() {
 			defer f.wg.Done()
 			br, _ := node.(batchReceiver)
-			batch := make([]delivery, 0, f.drainBatch)
+			batch := make([]delivery, 0, DefaultDrainBatch)
 			for {
-				batch = ring.drain(batch, f.drainBatch)
+				batch = ring.drain(batch, DefaultDrainBatch)
 				if len(batch) == 0 {
 					select {
 					case <-ring.notify:
@@ -376,7 +362,8 @@ func (f *Fabric) deliverHeld(hp *heldPkt) {
 		return
 	default:
 	}
-	if hp.inbox.push(hp.d) {
+	one := [1]*Packet{hp.d.pkt}
+	if hp.inbox.pushPkts(one[:], hp.d.from) == 1 {
 		hp.st.Packets.Add(1)
 		hp.st.Bytes.Add(uint64(len(hp.d.pkt.Data)))
 		return
@@ -401,117 +388,11 @@ func (f *Fabric) flushHeld(key linkKey, hp *heldPkt) {
 	f.deliverHeld(hp)
 }
 
-// Send transmits pkt from `from` to the direct neighbor `to`. It applies
-// fault injection and accounting, then enqueues into the receiver's
-// inbox. Sending to a non-neighbor is a wiring bug and returns an error.
+// Send transmits pkt from `from` to the direct neighbor `to`: a SendBatch
+// of one.
 func (f *Fabric) Send(from, to string, pkt *Packet) error {
-	select {
-	case <-f.stopped:
-		return fmt.Errorf("netsim: fabric stopped")
-	default:
-	}
-	key := linkKey{from, to}
-	st, ok := f.stats[key]
-	if !ok {
-		return fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, to)
-	}
-	if fl := f.failed.Load(); fl != nil && ((*fl)[from] || (*fl)[to]) {
-		// A failed node neither sends nor receives: the packet blackholes
-		// like loss, and the reliable layer (or re-placement) recovers.
-		st.Dropped.Add(1)
-		return nil
-	}
-	if ll := f.failedLinks.Load(); ll != nil && (*ll)[key] {
-		// A failed link blackholes in both directions; ECMP senders steer
-		// around it (LinkFailed), stragglers lose the packet like loss.
-		st.Dropped.Add(1)
-		return nil
-	}
-	if f.sinks[to] {
-		// Inert sink: the packet crossed the link (count it) and vanishes.
-		// No virtual-time stamp and no fault dice — sinks carry no
-		// test-visible traffic and must not perturb the seeded rng sequence.
-		st.Packets.Add(1)
-		st.Bytes.Add(uint64(len(pkt.Data)))
-		f.sinkPkts.Inc()
-		return nil
-	}
-	inbox, ok := f.inboxes[to]
-	if !ok {
-		return fmt.Errorf("netsim: no node %q", to)
-	}
-
-	f.stampSend(from, to, pkt)
-	drops := f.inboxDrops[to]
-	deliver := func(d delivery) {
-		st.Packets.Add(1)
-		st.Bytes.Add(uint64(len(d.pkt.Data)))
-		if !inbox.push(d) {
-			// Full inbox: drop and count rather than blocking the sender
-			// goroutine (recovery is the transport's job — the reliable
-			// layer retransmits).
-			st.Dropped.Add(1)
-			if drops != nil {
-				drops.Inc()
-			}
-		}
-	}
-
-	d := delivery{pkt: pkt, from: from}
-	if f.faults == (Faults{}) || f.faults.onlySeed() {
-		deliver(d)
-		return nil
-	}
-
-	f.rngMu.Lock()
-	drop := f.rng.Float64() < f.faults.DropProb
-	dup := f.rng.Float64() < f.faults.DupProb
-	reorder := f.rng.Float64() < f.faults.ReorderProb
-	held := f.pending[key]
-	if held != nil {
-		held.timer.Stop()
-		delete(f.pending, key)
-	}
-	if reorder && !drop {
-		// Park this packet until the link's next send — or until
-		// ReorderHold expires, whichever comes first, so it cannot be
-		// stranded when no later send arrives.
-		hp := &heldPkt{d: d, st: st, inbox: inbox, drops: drops}
-		f.pending[key] = hp
-		hold := f.faults.ReorderHold
-		if hold <= 0 {
-			hold = 10 * time.Millisecond
-		}
-		hp.timer = time.AfterFunc(hold, func() { f.flushHeld(key, hp) })
-	}
-	f.rngMu.Unlock()
-
-	if drop {
-		st.Dropped.Add(1)
-		if held != nil {
-			deliver(held.d)
-		}
-		return nil
-	}
-	if !reorder {
-		deliver(d)
-	}
-	if held != nil {
-		deliver(held.d)
-	}
-	if dup {
-		// The duplicate carries the original's virtual timestamp: it is the
-		// same bits arriving again, not a fresh packet born at t=0. Without
-		// the copy, dups poisoned switch INT latency stamps and the vtime
-		// histograms with epoch-relative garbage.
-		dupPkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
-		deliver(delivery{pkt: dupPkt, from: from})
-	}
-	return nil
-}
-
-func (fl Faults) onlySeed() bool {
-	return fl.DropProb == 0 && fl.DupProb == 0 && fl.ReorderProb == 0
+	tos, pkts := [1]string{to}, [1]*Packet{pkt}
+	return f.SendBatch(from, tos[:], pkts[:])
 }
 
 // BatchSender is the optional bulk seam on top of Sender: a node that has
@@ -525,12 +406,22 @@ type BatchSender interface {
 	SendBatch(from string, tos []string, pkts []*Packet) error
 }
 
-// SendBatch transmits a batch of packets from one node, amortizing the
-// stopped check, the virtual-time lock, and — for runs of consecutive
-// packets to the same destination — the inbox lock and receiver wakeup.
-// Fault injection needs per-packet dice and the hold-back slot, so a
-// faulted fabric falls back to per-packet Send (the batched fast path is
-// the perfect-network case benchmarks and converged deployments run in).
+// SendBatch transmits pkts[i] from `from` to its direct neighbor tos[i];
+// it is the fabric's one send path (Send is a batch of one). Each run of
+// consecutive packets to one destination costs one link lookup:
+//
+//   - a failed node or link blackholes the whole run like loss (the
+//     reliable layer, re-placement or ECMP steering recovers);
+//   - a sink (NullNode) counts the run and discards it, with no
+//     virtual-time stamp and no fault dice: sinks carry no test-visible
+//     traffic and must not perturb the makespan or the seeded rng;
+//   - otherwise the run is stamped under one virtual-time lock hold, then
+//     pushed into the receiver's inbox under one lock and one wakeup — or,
+//     on a faulted fabric, handed packet by packet to the fault dice.
+//
+// Sending to a non-neighbor is a wiring bug and returns an error: the
+// runs before it were delivered, it and every later run were neither
+// delivered nor stamped.
 func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 	if len(tos) != len(pkts) {
 		return fmt.Errorf("netsim: SendBatch got %d destinations for %d packets", len(tos), len(pkts))
@@ -538,60 +429,133 @@ func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 	if len(pkts) == 0 {
 		return nil
 	}
-	if !(f.faults == (Faults{}) || f.faults.onlySeed()) || f.failed.Load() != nil || f.failedLinks.Load() != nil {
-		// Fault injection, node failure, and link failure all need
-		// per-packet decisions.
-		for i := range pkts {
-			if err := f.Send(from, tos[i], pkts[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	select {
 	case <-f.stopped:
 		return fmt.Errorf("netsim: fabric stopped")
 	default:
 	}
-	f.stampSendBatch(from, tos, pkts)
+	faulted := !f.faults.onlySeed()
 	for i := 0; i < len(pkts); {
+		to := tos[i]
 		j := i + 1
-		for j < len(pkts) && tos[j] == tos[i] {
+		for j < len(pkts) && tos[j] == to {
 			j++
 		}
-		to := tos[i]
-		st, ok := f.stats[linkKey{from, to}]
+		run := pkts[i:j]
+		i = j
+		key := linkKey{from, to}
+		st, ok := f.stats[key]
 		if !ok {
 			return fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, to)
 		}
-		run := pkts[i:j]
-		var bytes uint64
-		for _, p := range run {
-			bytes += uint64(len(p.Data))
+		fl, ll := f.failed.Load(), f.failedLinks.Load()
+		if (fl != nil && ((*fl)[from] || (*fl)[to])) || (ll != nil && (*ll)[key]) {
+			st.Dropped.Add(uint64(len(run)))
+			continue
 		}
 		if f.sinks[to] {
 			st.Packets.Add(uint64(len(run)))
-			st.Bytes.Add(bytes)
+			st.Bytes.Add(runBytes(run))
 			f.sinkPkts.Add(uint64(len(run)))
-			i = j
 			continue
 		}
 		inbox, ok := f.inboxes[to]
 		if !ok {
 			return fmt.Errorf("netsim: no node %q", to)
 		}
-		st.Packets.Add(uint64(len(run)))
-		st.Bytes.Add(bytes)
-		if accepted := inbox.pushPkts(run, from); accepted < len(run) {
-			over := uint64(len(run) - accepted)
-			st.Dropped.Add(over)
-			if drops := f.inboxDrops[to]; drops != nil {
-				drops.Add(over)
-			}
+		f.stampRun(from, to, run)
+		drops := f.inboxDrops[to]
+		if !faulted {
+			enqueue(st, inbox, drops, from, run)
+			continue
 		}
-		i = j
+		for _, pkt := range run {
+			f.sendFaulted(key, st, inbox, drops, pkt)
+		}
 	}
 	return nil
+}
+
+// sendFaulted rolls one stamped packet's drop, dup and reorder dice (in
+// that order, so seeded runs replay exactly) and delivers what survives:
+// the packet unless dropped or held back, the link's previously held-back
+// packet, and the duplicate.
+func (f *Fabric) sendFaulted(key linkKey, st *LinkStats, inbox *ringInbox, drops *obs.Counter, pkt *Packet) {
+	f.rngMu.Lock()
+	drop := f.rng.Float64() < f.faults.DropProb
+	dup := f.rng.Float64() < f.faults.DupProb
+	reorder := f.rng.Float64() < f.faults.ReorderProb
+	held := f.pending[key]
+	if held != nil {
+		held.timer.Stop()
+		delete(f.pending, key)
+	}
+	if reorder && !drop {
+		// Park this packet until the link's next send — or until
+		// ReorderHold expires, whichever comes first, so it cannot be
+		// stranded when no later send arrives.
+		hp := &heldPkt{d: delivery{pkt: pkt, from: key.from}, st: st, inbox: inbox, drops: drops}
+		f.pending[key] = hp
+		hold := f.faults.ReorderHold
+		if hold <= 0 {
+			hold = 10 * time.Millisecond
+		}
+		hp.timer = time.AfterFunc(hold, func() { f.flushHeld(key, hp) })
+	}
+	f.rngMu.Unlock()
+
+	var out [3]*Packet
+	n := 0
+	if drop {
+		st.Dropped.Add(1)
+	} else if !reorder {
+		out[n] = pkt
+		n++
+	}
+	if held != nil {
+		out[n] = held.d.pkt
+		n++
+	}
+	if dup && !drop {
+		// The duplicate carries the original's virtual timestamp: it is the
+		// same bits arriving again, not a fresh packet born at t=0. Without
+		// the copy, dups poisoned switch INT latency stamps and the vtime
+		// histograms with epoch-relative garbage.
+		out[n] = &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
+		n++
+	}
+	if n > 0 {
+		enqueue(st, inbox, drops, key.from, out[:n])
+	}
+}
+
+// enqueue credits a run to its link and pushes it into the receiver's
+// inbox. Packets a full inbox refuses count as Dropped and
+// fabric.<label>.inbox_drops instead of blocking the sender goroutine
+// (recovery is the transport's job — the reliable layer retransmits).
+func enqueue(st *LinkStats, inbox *ringInbox, drops *obs.Counter, from string, run []*Packet) {
+	st.Packets.Add(uint64(len(run)))
+	st.Bytes.Add(runBytes(run))
+	if accepted := inbox.pushPkts(run, from); accepted < len(run) {
+		over := uint64(len(run) - accepted)
+		st.Dropped.Add(over)
+		if drops != nil {
+			drops.Add(over)
+		}
+	}
+}
+
+func runBytes(run []*Packet) uint64 {
+	var n uint64
+	for _, p := range run {
+		n += uint64(len(p.Data))
+	}
+	return n
+}
+
+// onlySeed reports a perfect network (the zero Faults, or a seed alone).
+func (fl Faults) onlySeed() bool {
+	return fl.DropProb == 0 && fl.DupProb == 0 && fl.ReorderProb == 0
 }
 
 // Stats returns the counters for the directed link from→to (nil if the

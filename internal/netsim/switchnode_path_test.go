@@ -194,16 +194,15 @@ func statefulSumProgram() *pisa.Program {
 }
 
 // TestSwitchNodeStatefulSumBursts: windows queued before the fabric
-// starts reach the switch in multi-packet drained bursts, single-window
-// and multi-window packets mixed. Every window still executes exactly
-// once, and the stateful accumulation is exact.
+// starts reach the switch in several drained bursts of DefaultDrainBatch
+// packets, single-window and multi-window packets mixed. Every window
+// still executes exactly once, and the stateful accumulation is exact.
 func TestSwitchNodeStatefulSumBursts(t *testing.T) {
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := New(net, Faults{})
-	fab.SetDrainBatch(8)
 	sn := NewSwitchNode("s1", pisa.DefaultTarget())
 	if err := sn.Install(statefulSumProgram(), 1); err != nil {
 		t.Fatal(err)
@@ -219,9 +218,9 @@ func TestSwitchNodeStatefulSumBursts(t *testing.T) {
 	}
 	t.Cleanup(fab.Stop)
 
-	// Queue everything before Start so the drain goroutine sees bursts of
-	// up to 8 packets; every fifth packet carries two windows.
-	const n = 50
+	// Queue everything before Start so the drain goroutine sees full
+	// bursts and a partial tail; every fifth packet carries two windows.
+	const n = 3*DefaultDrainBatch - 10
 	var want uint64
 	windows := 0
 	for i := 1; i <= n; i++ {

@@ -23,71 +23,22 @@ type vclock struct {
 // SwitchDelayUs is the modeled per-window pipeline traversal delay.
 const SwitchDelayUs = 1.0
 
-// stampSend advances the packet's virtual time over the link from→to and
-// returns the arrival time.
-func (f *Fabric) stampSend(from, to string, pkt *Packet) {
+// stampRun advances the virtual time of a run of packets sent over the
+// link from→to, in order, under one vt.mu hold. Each packet departs when
+// both it and the link are free; the wait for the link is the fabric's
+// congestion signal (fabric.queue_wait_us). The topology lookups are
+// reads of an immutable network and happen once per run.
+func (f *Fabric) stampRun(from, to string, run []*Packet) {
 	link := f.net.LinkBetween(from, to)
 	if link == nil {
 		return
 	}
-	txUs := float64(len(pkt.Data)) * 8 / (link.GBitsPerS * 1e3)
+	n := f.net.NodeByLabel(to)
+	toHost := n != nil && n.Kind == and.HostNode
 	key := linkKey{from, to}
 	f.vt.mu.Lock()
-	depart := pkt.VTimeUs
-	if free := f.vt.linkFree[key]; free > depart {
-		// The link is still serializing earlier traffic: the packet queues
-		// in virtual time. The wait is the fabric's congestion signal.
-		f.queueWait.Observe(free - depart)
-		depart = free
-	}
-	f.vt.linkFree[key] = depart + txUs
-	arrive := depart + txUs + link.LatencyUs
-	pkt.VTimeUs = arrive
-	if n := f.net.NodeByLabel(to); n != nil && n.Kind == and.HostNode {
-		if arrive > f.vt.maxHost {
-			f.vt.maxHost = arrive
-		}
-	}
-	f.vt.mu.Unlock()
-}
-
-// stampSendBatch stamps a whole batch under one vt.mu acquisition —
-// same arithmetic as stampSend per packet, minus per-packet lock
-// traffic. The network lookups inside the lock are reads of immutable
-// topology, so they add no contention.
-func (f *Fabric) stampSendBatch(from string, tos []string, pkts []*Packet) {
-	// Topology lookups and the link-free cursor are carried across runs of
-	// consecutive packets to the same destination — the common shape of a
-	// batch — so the loop pays the map accesses once per run, not once per
-	// packet.
-	var (
-		to     string
-		link   *and.Link
-		toHost bool
-		free   float64
-		haveTo bool
-	)
-	f.vt.mu.Lock()
-	flushRun := func() {
-		if haveTo && link != nil {
-			f.vt.linkFree[linkKey{from, to}] = free
-		}
-	}
-	for i, pkt := range pkts {
-		if !haveTo || tos[i] != to {
-			flushRun()
-			to = tos[i]
-			haveTo = true
-			link = f.net.LinkBetween(from, to)
-			if link != nil {
-				free = f.vt.linkFree[linkKey{from, to}]
-				n := f.net.NodeByLabel(to)
-				toHost = n != nil && n.Kind == and.HostNode
-			}
-		}
-		if link == nil {
-			continue
-		}
+	free := f.vt.linkFree[key]
+	for _, pkt := range run {
 		txUs := float64(len(pkt.Data)) * 8 / (link.GBitsPerS * 1e3)
 		depart := pkt.VTimeUs
 		if free > depart {
@@ -101,7 +52,7 @@ func (f *Fabric) stampSendBatch(from string, tos []string, pkts []*Packet) {
 			f.vt.maxHost = arrive
 		}
 	}
-	flushRun()
+	f.vt.linkFree[key] = free
 	f.vt.mu.Unlock()
 }
 

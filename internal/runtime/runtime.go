@@ -70,11 +70,6 @@ type AppConfig struct {
 	// A full inbox drops and counts fabric.<label>.inbox_drops rather
 	// than blocking the sender.
 	FabricInboxCap int
-	// FabricDrainBatch is a deployment-level knob consumed by core.Deploy:
-	// how many packets a fabric inbox goroutine drains per wakeup
-	// (0 = netsim.DefaultDrainBatch; 1 = per-packet delivery, the
-	// pre-batching behavior benchmarks use as a baseline).
-	FabricDrainBatch int
 	// NonIdempotent names the out-kernels whose switch-side execution
 	// mutates register state (derived by core from the compiled programs'
 	// stateful ALUs). OutReliable marks windows for these kernels with

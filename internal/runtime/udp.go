@@ -22,10 +22,10 @@ import (
 // The conn/addr tables are immutable once the sockets are bound, so the
 // send hot path reads them through an atomically-published snapshot
 // (udpView) instead of taking a mutex per packet; Stop publishes a
-// closed view before closing the sockets. SendBatch queues a burst of
-// frames and hands them to the kernel in one sendmmsg on Linux (one
-// syscall for the whole batch), falling back to a WriteToUDP loop
-// elsewhere.
+// closed view before closing the sockets. Send is a SendBatch of one,
+// and SendBatch queues a burst of frames and hands them to the kernel in
+// one sendmmsg on Linux (one syscall for the whole batch), falling back
+// to a WriteToUDP loop elsewhere.
 type UDPNet struct {
 	network *and.Network
 
@@ -152,24 +152,10 @@ func (u *UDPNet) sendView(from, to string) (*net.UDPConn, *net.UDPAddr, error) {
 	return conn, addr, nil
 }
 
-// Send implements netsim.Sender over UDP.
+// Send implements netsim.Sender over UDP: a SendBatch of one.
 func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) error {
-	conn, addr, err := u.sendView(from, to)
-	if err != nil {
-		return err
-	}
-	// WriteToUDP copies the frame into the kernel before returning, so
-	// the buffer can be pooled across sends.
-	bufp := framePool.Get().(*[]byte)
-	frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Data)
-	if err != nil {
-		framePool.Put(bufp)
-		return err
-	}
-	*bufp = frame
-	_, err = conn.WriteToUDP(frame, addr)
-	framePool.Put(bufp)
-	return err
+	tos, pkts := [1]string{to}, [1]*netsim.Packet{pkt}
+	return u.SendBatch(from, tos[:], pkts[:])
 }
 
 // batchScratch is the reusable frame queue of one SendBatch call.
@@ -194,10 +180,12 @@ func (b *batchScratch) release() {
 	batchPool.Put(b)
 }
 
-// SendBatch implements netsim.BatchSender over UDP: all frames are
-// encoded into pooled buffers first, then handed to the kernel in one
-// sendmmsg per run on Linux (WriteToUDP loop elsewhere). All packets
-// share one source node, so one socket carries the whole batch.
+// SendBatch implements netsim.BatchSender over UDP and is the backend's
+// one send path: all frames are encoded into pooled buffers first, then
+// handed to the kernel in one sendmmsg on Linux (WriteToUDP loop
+// elsewhere). All packets share one source node, so one socket carries
+// the whole batch. The kernel copies each frame before the call returns,
+// so the buffers go back to the pool straight away.
 func (u *UDPNet) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
 	if len(tos) != len(pkts) {
 		return fmt.Errorf("runtime: SendBatch got %d destinations for %d packets", len(tos), len(pkts))

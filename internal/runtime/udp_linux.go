@@ -22,14 +22,23 @@ type mmsghdr struct {
 }
 
 // mmsgScratch is the reusable header/iovec/sockaddr arrays of one
-// sendmmsg call; pooled because batches arrive on many goroutines.
+// sendmmsg call plus its progress; pooled because batches arrive on many
+// goroutines. write is sendAll bound once per scratch, so handing it to
+// RawConn.Write costs no closure (and no escaped locals) per call.
 type mmsgScratch struct {
-	msgs []mmsghdr
-	iovs []syscall.Iovec
-	sas  []syscall.RawSockaddrInet4
+	msgs  []mmsghdr
+	iovs  []syscall.Iovec
+	sas   []syscall.RawSockaddrInet4
+	sent  int
+	err   error
+	write func(fd uintptr) bool
 }
 
-var mmsgPool = sync.Pool{New: func() any { return new(mmsgScratch) }}
+var mmsgPool = sync.Pool{New: func() any {
+	sc := new(mmsgScratch)
+	sc.write = sc.sendAll
+	return sc
+}}
 
 // sendBatchOS transmits every frame on one socket, batching them into as
 // few sendmmsg calls as the kernel accepts. Falls back to WriteToUDP
@@ -72,28 +81,31 @@ func sendBatchOS(conn *net.UDPConn, frames [][]byte, addrs []*net.UDPAddr) error
 		}
 		m.n = 0
 	}
-	sent := 0
-	var opErr error
-	err = rc.Write(func(fd uintptr) bool {
-		for sent < n {
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&sc.msgs[sent])), uintptr(n-sent), 0, 0, 0)
-			switch errno {
-			case 0:
-				sent += int(r)
-			case syscall.EAGAIN:
-				return false // wait for the netpoller, then retry
-			case syscall.EINTR:
-				continue
-			default:
-				opErr = errno
-				return true
-			}
-		}
-		return true
-	})
-	if err != nil {
+	sc.sent, sc.err = 0, nil
+	if err := rc.Write(sc.write); err != nil {
 		return err
 	}
-	return opErr
+	return sc.err
+}
+
+// sendAll is the RawConn.Write callback: it issues sendmmsg until every
+// queued message is sent, returning false to wait for the netpoller on
+// EAGAIN.
+func (sc *mmsgScratch) sendAll(fd uintptr) bool {
+	for sc.sent < len(sc.msgs) {
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&sc.msgs[sc.sent])), uintptr(len(sc.msgs)-sc.sent), 0, 0, 0)
+		switch errno {
+		case 0:
+			sc.sent += int(r)
+		case syscall.EAGAIN:
+			return false // wait for the netpoller, then retry
+		case syscall.EINTR:
+			continue
+		default:
+			sc.err = errno
+			return true
+		}
+	}
+	return true
 }
